@@ -84,6 +84,9 @@ pub enum Benchmark {
     /// block and one no-op system call. The kernel-instruction count per
     /// round trip is fixed by [`SyscallConvention`] plus the handler
     /// budget, so both the user and the kernel oracles are closed-form.
+    /// It runs through [`System::run_syscall_loop`], which commits the
+    /// rounds between two interrupts in one step and runs the round an
+    /// interrupt falls in call by call.
     SyscallHeavy {
         /// Number of user-compute + syscall rounds.
         iters: u64,
@@ -316,11 +319,8 @@ impl Benchmark {
                 let compute = InstMix::straight_line(Self::SYSCALL_USER_COMPUTE);
                 let pre = InstMix::straight_line(Self::SYSCALL_HANDLER_PRE);
                 let post = InstMix::straight_line(Self::SYSCALL_HANDLER_POST);
-                for _ in 0..*iters {
-                    sys.run_user_mix(&compute);
-                    sys.syscall(&pre, |_| Ok(()), &post)
-                        .expect("a user-mode benchmark cannot nest syscalls");
-                }
+                sys.run_syscall_loop(&compute, &pre, &post, *iters)
+                    .expect("a user-mode benchmark cannot nest syscalls");
             }
             Benchmark::NestedLoop { iters } => {
                 sys.run_user_mix(&InstMix::LOOP_PROLOGUE);
@@ -473,6 +473,38 @@ mod tests {
                 "{bench}"
             );
         }
+    }
+
+    #[test]
+    fn syscallheavy_run_matches_the_per_call_rounds_across_ticks() {
+        // HZ=250 on the K8 is one tick per ~60k rounds: enough rounds for
+        // ticks to land inside the fast-forwarded loop.
+        let iters = 200_000;
+        let mut fast = System::new(
+            Processor::AthlonK8,
+            KernelConfig::default().with_seed(7).with_hz(250),
+        );
+        for (slot, mode) in [CountMode::UserOnly, CountMode::KernelOnly]
+            .into_iter()
+            .enumerate()
+        {
+            fast.machine_mut()
+                .pmu_mut()
+                .program(slot, PmcConfig::counting(Event::InstructionsRetired, mode))
+                .unwrap();
+        }
+        let mut stepped = fast.clone();
+        Benchmark::SyscallHeavy { iters }.run(&mut fast, CodePlacement::at(0x0804_9000));
+        let compute = InstMix::straight_line(Benchmark::SYSCALL_USER_COMPUTE);
+        let pre = InstMix::straight_line(Benchmark::SYSCALL_HANDLER_PRE);
+        let post = InstMix::straight_line(Benchmark::SYSCALL_HANDLER_POST);
+        for _ in 0..iters {
+            stepped.run_user_mix(&compute);
+            stepped.syscall(&pre, |_| Ok(()), &post).unwrap();
+        }
+        let ticks = stepped.ticks_delivered();
+        assert!(ticks >= 2, "only {ticks} ticks");
+        assert_eq!(format!("{fast:?}"), format!("{stepped:?}"));
     }
 
     #[test]

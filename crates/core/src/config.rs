@@ -76,11 +76,25 @@ pub struct MeasurementConfig {
     pub event: Event,
     /// RNG seed for this measurement run.
     pub seed: u64,
-    /// Timer frequency (0 disables ticks; the Figure 7 ablation).
+    /// Timer frequency (0 disables ticks; the Figure 7 ablation). At most
+    /// [`MeasurementConfig::MAX_HZ`].
     pub hz: u32,
 }
 
 impl MeasurementConfig {
+    /// The highest timer frequency a measurement accepts: ten times the
+    /// highest `CONFIG_HZ` Linux offers (1000), and far above the 0, 100
+    /// and 250 the experiments use.
+    ///
+    /// Past some rate the simulated kernel cannot run. A rate above the
+    /// clock leaves a zero-cycle tick period, and a period shorter than
+    /// the tick handler makes every handler end with the next tick
+    /// already due, so delivery never returns. At this cap the shortest
+    /// period (220 000 cycles, the 2.2 GHz K8) is over ten times the
+    /// longest handler (about 7 200 cycles, the Pentium D's with full
+    /// jitter and perfctr's tick hook); a unit test pins that margin.
+    pub const MAX_HZ: u32 = 10_000;
+
     /// A baseline configuration: `pm`, start-read, `-O2`, one counter,
     /// TSC on, user mode, instruction counting, HZ=250.
     pub fn new(processor: Processor, interface: Interface) -> Self {

@@ -173,7 +173,9 @@ impl MeasurementSession {
     ///   zero-counter "measurement" has nothing to arm and anything it
     ///   returned would be indistinguishable from a real record;
     /// * [`crate::CoreError::InvalidConfig`] when the processor lacks the
-    ///   requested number of counters;
+    ///   requested number of counters, or when `config.hz` exceeds
+    ///   [`MeasurementConfig::MAX_HZ`] (a rate the simulated kernel
+    ///   cannot run: it would panic or never return);
     /// * substrate boot errors propagate.
     pub fn new(config: &MeasurementConfig, benchmark: Benchmark) -> Result<Self> {
         check_supported(config.interface, config.pattern)?;
@@ -185,6 +187,13 @@ impl MeasurementSession {
             return Err(crate::CoreError::InvalidConfig(format!(
                 "{} counters requested, {} has {}",
                 config.counters, config.processor, available
+            )));
+        }
+        if config.hz > MeasurementConfig::MAX_HZ {
+            return Err(crate::CoreError::InvalidConfig(format!(
+                "timer rate {} Hz is above the {} Hz limit",
+                config.hz,
+                MeasurementConfig::MAX_HZ
             )));
         }
         let kernel = KernelConfig::default()
@@ -434,6 +443,55 @@ mod tests {
             run_measurement(&cfg, Benchmark::Null).unwrap_err(),
             crate::CoreError::InvalidConfig(_)
         ));
+    }
+
+    /// Timer rates the simulated kernel cannot run are typed rejections,
+    /// not a panic (4 GHz: a zero-cycle tick period on the K8) or a hang
+    /// (2 MHz: ticks due faster than their handler runs).
+    #[test]
+    fn out_of_range_hz_is_a_typed_error() {
+        for hz in [4_000_000_000, 2_000_000, MeasurementConfig::MAX_HZ + 1] {
+            let cfg = MeasurementConfig::new(Processor::AthlonK8, Interface::Pm).with_hz(hz);
+            let fresh = run_measurement(&cfg, Benchmark::Loop { iters: 1000 }).unwrap_err();
+            let boot = MeasurementSession::new(&cfg, Benchmark::Null).unwrap_err();
+            for err in [fresh, boot] {
+                assert!(
+                    matches!(err, crate::CoreError::InvalidConfig(_)),
+                    "hz={hz}: {err}"
+                );
+            }
+        }
+    }
+
+    /// At the cap every processor's tick period is over ten times its
+    /// longest tick handler (full jitter plus the costlier extension
+    /// hook), and a measurement spanning many ticks runs on every
+    /// interface.
+    #[test]
+    fn max_hz_keeps_ticks_far_apart() {
+        use counterlab_kernel::config::TimerCost;
+        use counterlab_kernel::interrupt::handler_mix;
+        for processor in Processor::ALL {
+            let cost = TimerCost::default_for(processor);
+            let hook = counterlab_perfctr::costs::PerfctrCosts::for_processor(processor)
+                .tick_extra
+                .max(counterlab_perfmon::costs::PerfmonCosts::for_processor(processor).tick_extra);
+            let handler = handler_mix(cost.base_instructions + cost.jitter + hook);
+            let longest = counterlab_cpu::timing::straight_cycles(processor.uarch(), &handler);
+            let period = processor.uarch().clock_hz / u64::from(MeasurementConfig::MAX_HZ);
+            assert!(period > 10 * longest, "{processor}: {period} vs {longest}");
+            for interface in Interface::ALL {
+                let cfg = MeasurementConfig::new(processor, interface)
+                    .with_hz(MeasurementConfig::MAX_HZ)
+                    .with_mode(CountingMode::UserKernel);
+                let record = run_measurement(&cfg, Benchmark::Loop { iters: 2_000_000 }).unwrap();
+                // Ticks landed: their handlers show up in the kernel count.
+                assert!(
+                    record.measured > record.expected + 10 * cost.base_instructions,
+                    "{processor}/{interface}: {record:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -195,16 +195,29 @@ impl Machine {
     /// Retires a straight-line instruction mix at the given privilege level
     /// and returns the committed event delta.
     pub fn execute_mix(&mut self, mix: &InstMix, privilege: Privilege) -> EventDelta {
+        self.execute_mix_times(mix, 1, privilege)
+    }
+
+    /// Retires `n` back-to-back copies of a straight-line mix as one
+    /// committed delta, equal to `n` calls of [`Machine::execute_mix`].
+    ///
+    /// Every term is per mix times `n` — including the pollution-period
+    /// floor, `(loads / 8)·n` and not `(loads·n) / 8` — because each copy
+    /// retires as its own block.
+    // Inlined so `execute_mix` folds `n = 1` away: it is the simulator's
+    // hottest call, made across crates once per retired block.
+    #[inline]
+    pub fn execute_mix_times(&mut self, mix: &InstMix, n: u64, privilege: Privilege) -> EventDelta {
         let delta = EventDelta {
-            instructions: mix.total_instructions(),
-            cycles: timing::straight_cycles(self.uarch(), mix),
-            branches: mix.branches,
+            instructions: mix.total_instructions() * n,
+            cycles: timing::straight_cycles(self.uarch(), mix) * n,
+            branches: mix.branches * n,
             branch_mispredictions: 0,
             icache_misses: 0,
             // Dependent loads walk to a fresh line each time, so every one
             // misses; ordinary straight-line loads miss at the pollution
             // period.
-            dcache_misses: mix.loads / Self::STRAIGHT_LOAD_MISS_PERIOD + mix.chase_loads,
+            dcache_misses: (mix.loads / Self::STRAIGHT_LOAD_MISS_PERIOD + mix.chase_loads) * n,
             itlb_misses: 0,
         };
         self.commit(&delta, privilege);
@@ -455,6 +468,90 @@ mod tests {
         m.execute_mix(&InstMix::straight_line(123), Privilege::User);
         m.execute_mix(&InstMix::straight_line(7), Privilege::Kernel);
         assert_eq!(m.pmu().read_pmc(0).unwrap(), 130);
+    }
+
+    #[test]
+    fn execute_mix_times_equals_repeated_execute_mix() {
+        use crate::mix::MixBuilder;
+        // Load counts off the pollution period (8), so a `(loads·n)/8`
+        // regression changes the d-cache count.
+        let mixes = [
+            InstMix::straight_line(16),
+            MixBuilder::new()
+                .alu(5)
+                .loads(13)
+                .stores(3)
+                .branches(4, 2)
+                .build(),
+            MixBuilder::new().alu(2).loads(7).chase_loads(3).build(),
+            MixBuilder::new().alu(1).loads(1).rdpmc(2).rdtsc(1).build(),
+            MixBuilder::new().alu(4).loads(9).rdmsr(1).wrmsr(2).build(),
+        ];
+        let modes = [
+            CountMode::UserOnly,
+            CountMode::KernelOnly,
+            CountMode::UserAndKernel,
+        ];
+        for processor in Processor::ALL {
+            for mode in modes {
+                // Every event the processor can count, on as many boots as
+                // its counters need.
+                let events: Vec<Event> = Event::ALL
+                    .into_iter()
+                    .filter(|&e| processor.uarch().event_encoding(e).is_some())
+                    .collect();
+                let width = processor.uarch().programmable_counters;
+                for chunk in events.chunks(width) {
+                    let mut armed = Machine::new(processor);
+                    for (slot, &event) in chunk.iter().enumerate() {
+                        armed
+                            .pmu_mut()
+                            .program(slot, PmcConfig::counting(event, mode))
+                            .unwrap();
+                    }
+                    let slot = chunk.len();
+                    for i in 0..armed.pmu().fixed_count() {
+                        armed.pmu_mut().set_fixed_mode(i, Some(mode)).unwrap();
+                    }
+                    for mix in &mixes {
+                        for n in [0u64, 1, 2, 7, 513] {
+                            for privilege in [Privilege::User, Privilege::Kernel] {
+                                let mut batched = armed.clone();
+                                let mut stepped = armed.clone();
+                                let got = batched.execute_mix_times(mix, n, privilege);
+                                let mut want = EventDelta::default();
+                                for _ in 0..n {
+                                    want = want.merged(&stepped.execute_mix(mix, privilege));
+                                }
+                                let what =
+                                    format!("{processor} {mode:?} {mix:?} n={n} {privilege}");
+                                assert_eq!(got, want, "{what}");
+                                assert_eq!(batched.cycle(), stepped.cycle(), "{what}");
+                                for i in 0..slot {
+                                    assert_eq!(
+                                        batched.pmu().read_pmc(i),
+                                        stepped.pmu().read_pmc(i),
+                                        "{what} pmc{i}"
+                                    );
+                                }
+                                for i in 0..armed.pmu().fixed_count() {
+                                    assert_eq!(
+                                        batched.pmu().read_fixed(i),
+                                        stepped.pmu().read_fixed(i),
+                                        "{what} fixed{i}"
+                                    );
+                                }
+                                assert_eq!(
+                                    format!("{batched:?}"),
+                                    format!("{stepped:?}"),
+                                    "{what}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

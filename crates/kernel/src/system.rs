@@ -6,11 +6,14 @@
 //!   interrupts delivered at the right cycle boundaries;
 //! * the system-call protocol (user stub → kernel entry → handler →
 //!   kernel exit → user stub) used by perfctr/perfmon syscalls;
+//! * rounds of user compute plus a no-op system call, fast-forwarded
+//!   between interrupts ([`System::run_syscall_loop`]) the way loops are;
 //! * context switches that save/restore the PMU per thread (§2.3).
 
 use counterlab_cpu::layout::CodePlacement;
 use counterlab_cpu::machine::{LoopAnalysis, Machine, Privilege};
 use counterlab_cpu::mix::{InstMix, MixBuilder};
+use counterlab_cpu::timing;
 use counterlab_cpu::uarch::Processor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -230,18 +233,82 @@ impl System {
             return Err(KernelError::AlreadyInKernel);
         }
         self.syscall_count += 1;
-        let [user_entry, kernel_entry, kernel_exit, user_exit] = self.conv_mixes;
-        self.machine.execute_mix(&user_entry, Privilege::User);
+        let (entry, exit) = syscall_mixes(&self.conv_mixes, pre, post);
+        // The CPU is in kernel mode for the privileged work; each mix
+        // counts at the privilege `syscall_mixes` gives it.
         self.machine.set_privilege(Privilege::Kernel);
-        self.machine.execute_mix(&kernel_entry, Privilege::Kernel);
-        self.machine.execute_mix(pre, Privilege::Kernel);
+        execute_in_turn(&mut self.machine, entry);
         let result = f(&mut self.machine);
-        self.machine.execute_mix(post, Privilege::Kernel);
-        self.machine.execute_mix(&kernel_exit, Privilege::Kernel);
+        execute_in_turn(&mut self.machine, exit);
         self.machine.set_privilege(Privilege::User);
-        self.machine.execute_mix(&user_exit, Privilege::User);
         self.deliver_due_ticks();
         result
+    }
+
+    /// Runs `iters` rounds of user-mode `compute` followed by a system call
+    /// with a **no-op** handler (`pre` and `post` around nothing) — the
+    /// same result, bit for bit, as `iters` rounds of
+    /// [`System::run_user_mix`]`(compute)` then
+    /// [`System::syscall`]`(pre, |_| Ok(()), post)`.
+    ///
+    /// Like [`System::run_user_loop`], it fast-forwards: the whole rounds
+    /// that end strictly before the next timer or I/O interrupt are
+    /// committed in one step per mix, and the round an interrupt falls in
+    /// runs through the per-call path, so skid, handler jitter and
+    /// preemption behave exactly as they do there.
+    ///
+    /// Precondition, and the reason there is no closure parameter: the
+    /// privileged work does nothing. A round with no interrupt in it then
+    /// draws no randomness and touches only the counters, the clock and
+    /// the bookkeeping, which is what makes committing many at once exact.
+    /// A handler that reads or programs the PMU must go through
+    /// [`System::syscall`].
+    ///
+    /// # Errors
+    ///
+    /// [`KernelError::AlreadyInKernel`] when called from kernel mode.
+    pub fn run_syscall_loop(
+        &mut self,
+        compute: &InstMix,
+        pre: &InstMix,
+        post: &InstMix,
+        iters: u64,
+    ) -> Result<()> {
+        if self.machine.privilege() == Privilege::Kernel {
+            return Err(KernelError::AlreadyInKernel);
+        }
+        let conv = self.conv_mixes;
+        let (entry, exit) = syscall_mixes(&conv, pre, post);
+        let [e0, e1, e2] = entry;
+        let [x0, x1, x2] = exit;
+        let round = [(compute, Privilege::User), e0, e1, e2, x0, x1, x2];
+        let uarch = self.machine.uarch();
+        let round_cycles: u64 = round
+            .iter()
+            .map(|(mix, _)| timing::straight_cycles(uarch, mix))
+            .sum();
+        let mut remaining = iters;
+        while remaining > 0 {
+            let batch = self.rounds_until_event(round_cycles).min(remaining);
+            if batch > 0 {
+                for (mix, privilege) in round {
+                    self.machine.execute_mix_times(mix, batch, privilege);
+                }
+                self.syscall_count += batch;
+                let tid = self.threads.current();
+                if let Some(t) = self.threads.get_mut(tid) {
+                    t.add_user_instructions(compute.total_instructions() * batch);
+                }
+                remaining -= batch;
+            }
+            if remaining > 0 {
+                // The round the next interrupt falls in.
+                self.run_user_mix(compute);
+                self.syscall(pre, |_| Ok(()), post)?;
+                remaining -= 1;
+            }
+        }
+        Ok(())
     }
 
     /// Spawns a new thread.
@@ -335,6 +402,20 @@ impl System {
         fit.min(remaining)
     }
 
+    /// How many whole rounds of `round_cycles` end strictly before the
+    /// next interrupt, so that no interrupt check inside them finds one
+    /// due. Unbounded when nothing is armed or a round takes no cycles.
+    fn rounds_until_event(&self, round_cycles: u64) -> u64 {
+        let next = self.next_event_cycle();
+        let now = self.machine.cycle();
+        if next <= now {
+            return 0;
+        }
+        (next - now - 1)
+            .checked_div(round_cycles)
+            .unwrap_or(u64::MAX)
+    }
+
     /// Delivers one timer tick in the middle of a user loop, applying the
     /// boundary skid model. Returns the updated remaining-iteration count.
     fn deliver_tick_in_loop(
@@ -384,6 +465,9 @@ impl System {
         }
     }
 
+    // The handlers stay out of line so that `deliver_due_ticks`, run after
+    // every user mix and syscall, is a few instructions when nothing is due.
+    #[inline(never)]
     fn run_tick_handler(&mut self) {
         let handler = self.timer.take_tick(&mut self.rng);
         let was = self.machine.privilege();
@@ -393,6 +477,7 @@ impl System {
         self.maybe_preempt();
     }
 
+    #[inline(never)]
     fn run_io_handler(&mut self) {
         let handler = self
             .io
@@ -447,6 +532,44 @@ fn convention_mixes(conv: &SyscallConvention) -> [InstMix; 4] {
         conv.kernel_exit_mix(),
         conv.user_exit_mix(),
     ]
+}
+
+/// Three mixes of a system call, each with the privilege it runs at.
+type SyscallHalf<'a> = [(&'a InstMix, Privilege); 3];
+
+/// The mixes of one system call, in order, with the privilege each runs
+/// at: the entry half (user stub, kernel entry, `pre`) and the exit half
+/// (`post`, kernel exit, user stub). The privileged work runs between the
+/// halves. [`System::syscall`] and [`System::run_syscall_loop`] both take
+/// the protocol's layout from here.
+fn syscall_mixes<'a>(
+    conv: &'a [InstMix; 4],
+    pre: &'a InstMix,
+    post: &'a InstMix,
+) -> (SyscallHalf<'a>, SyscallHalf<'a>) {
+    let [user_entry, kernel_entry, kernel_exit, user_exit] = conv;
+    (
+        [
+            (user_entry, Privilege::User),
+            (kernel_entry, Privilege::Kernel),
+            (pre, Privilege::Kernel),
+        ],
+        [
+            (post, Privilege::Kernel),
+            (kernel_exit, Privilege::Kernel),
+            (user_exit, Privilege::User),
+        ],
+    )
+}
+
+/// Retires each mix once, counted at its own privilege level.
+// Inlined so the round trip compiles to straight-line calls, as it did
+// when spelled out: `System::syscall` is the measurement hot loop.
+#[inline]
+fn execute_in_turn(machine: &mut Machine, mixes: SyscallHalf<'_>) {
+    for (mix, privilege) in mixes {
+        machine.execute_mix(mix, privilege);
+    }
 }
 
 #[cfg(test)]
@@ -558,6 +681,136 @@ mod tests {
             conv.total_kernel() + 150
         );
         assert_eq!(sys.syscall_count(), 1);
+    }
+
+    #[test]
+    fn syscall_loop_is_exact_where_interrupts_land_mid_loop() {
+        use crate::config::{IoInterrupts, Preemption};
+        let aggressive = SkidModel {
+            plus_probability: 0.4,
+            minus_probability: 0.4,
+            max_magnitude: 6,
+        };
+        let (mut ticks, mut interrupted, mut cases) = (0, 0, 0);
+        for processor in Processor::ALL {
+            for hz in [0, 250, 20_000, 100_000] {
+                for io in [false, true] {
+                    for preempt in [false, true] {
+                        let mut cfg = KernelConfig::default()
+                            .with_seed(u64::from(hz) ^ 0x5C)
+                            .with_hz(hz)
+                            .with_skid(aggressive);
+                        if io {
+                            cfg = cfg.with_io(IoInterrupts {
+                                rate_hz: 3_000,
+                                handler_instructions: 1_500,
+                            });
+                        }
+                        if preempt {
+                            cfg = cfg.with_preemption(Preemption {
+                                timeslice_ticks: 3,
+                                background_instructions: 20_000,
+                            });
+                        }
+                        let mut base = System::new(processor, cfg);
+                        if preempt {
+                            base.spawn_thread("background");
+                        }
+                        for (slot, mode) in [CountMode::UserOnly, CountMode::KernelOnly]
+                            .into_iter()
+                            .enumerate()
+                        {
+                            base.machine_mut()
+                                .pmu_mut()
+                                .program(
+                                    slot,
+                                    PmcConfig::counting(Event::InstructionsRetired, mode),
+                                )
+                                .unwrap();
+                        }
+                        for i in 0..base.machine().pmu().fixed_count() {
+                            base.machine_mut()
+                                .pmu_mut()
+                                .set_fixed_mode(i, Some(CountMode::UserAndKernel))
+                                .unwrap();
+                        }
+                        base.run_user_mix(&InstMix::straight_line(1_000));
+                        let what = format!("{processor} hz={hz} io={io} preempt={preempt}");
+                        let (t, i) = assert_syscall_loop_matches_per_call(&base, &what);
+                        ticks += t;
+                        interrupted += i;
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 48);
+        // The exact-round path really ran: interrupts landed mid-loop.
+        assert!(ticks > 100, "only {ticks} ticks delivered");
+        assert!(interrupted > 100, "only {interrupted} interrupted rounds");
+    }
+
+    /// Runs 40 000 syscall rounds from `base` both ways and compares the
+    /// whole state after every round an interrupt lands in and after the
+    /// round before it: those are where an off-by-one in the fast-forward
+    /// would show, since a late tick at the end of a segment is missing
+    /// outright. Returns the ticks delivered and the interrupted rounds.
+    fn assert_syscall_loop_matches_per_call(base: &System, what: &str) -> (u64, usize) {
+        let compute = InstMix::straight_line(16);
+        let pre = MixBuilder::new().alu(80).loads(11).branches(5, 2).build();
+        let post = InstMix::straight_line(32);
+        let round = |sys: &mut System| {
+            sys.run_user_mix(&compute);
+            sys.syscall(&pre, |_| Ok(()), &post).unwrap();
+        };
+        let iters = 40_000u64;
+        // First pass: a round an interrupt lands in takes longer than the
+        // undisturbed ones.
+        let mut probe = base.clone();
+        let lengths: Vec<u64> = (0..iters)
+            .map(|_| {
+                let start = probe.machine().cycle();
+                round(&mut probe);
+                probe.machine().cycle() - start
+            })
+            .collect();
+        let quiet = *lengths.iter().min().unwrap();
+        let hit: Vec<u64> = (1..=iters)
+            .filter(|&r| lengths[r as usize - 1] > quiet)
+            .collect();
+        let mut stops: Vec<u64> = hit.iter().flat_map(|&r| [r - 1, r]).collect();
+        stops.push(iters);
+        stops.dedup();
+
+        let mut fast = base.clone();
+        let mut stepped = base.clone();
+        let mut done = 0;
+        for stop in stops {
+            fast.run_syscall_loop(&compute, &pre, &post, stop - done)
+                .unwrap();
+            for _ in done..stop {
+                round(&mut stepped);
+            }
+            assert_eq!(
+                format!("{fast:?}"),
+                format!("{stepped:?}"),
+                "{what}: after {stop} rounds"
+            );
+            done = stop;
+        }
+        (stepped.ticks_delivered(), hit.len())
+    }
+
+    #[test]
+    fn syscall_loop_from_kernel_mode_is_rejected() {
+        let mut sys = System::new(Processor::AthlonK8, quiet_config());
+        sys.machine_mut().set_privilege(Privilege::Kernel);
+        let empty = InstMix::empty();
+        assert_eq!(
+            sys.run_syscall_loop(&empty, &empty, &empty, 3),
+            Err(KernelError::AlreadyInKernel)
+        );
+        assert_eq!(sys.syscall_count(), 0);
     }
 
     #[test]

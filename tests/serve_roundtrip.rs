@@ -177,3 +177,42 @@ fn zero_counter_grid_is_a_typed_error_over_the_wire() {
     serve::request_ping(&addr).expect("server healthy after the error");
     drop(server); // Drop stops the accept loop and joins the handlers.
 }
+
+/// A timer rate the simulated kernel cannot run (4 GHz leaves a
+/// zero-cycle tick period on the K8; 2 MHz makes ticks due faster than
+/// their handler runs) is a typed `ERR` on the wire, answered within the
+/// test's deadline: no panicked worker, no hung cell.
+#[test]
+fn out_of_range_hz_is_a_typed_error_over_the_wire() {
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    let server = spawn(1, None);
+    let addr = server.addr().to_string();
+    for hz in [4_000_000_000, 2_000_000] {
+        let mut grid = test_grid();
+        grid.processors = vec![counterlab::cpu::uarch::Processor::AthlonK8];
+        grid.hz = hz;
+        let (tx, rx) = mpsc::channel();
+        let client_addr = addr.clone();
+        let client = thread::spawn(move || {
+            let answer = serve::request_grid(&client_addr, &grid, Priority::Interactive);
+            tx.send(answer).expect("the test waits for the answer");
+        });
+        let Ok(answer) = rx.recv_timeout(Duration::from_secs(30)) else {
+            // A hung worker would also hang the server's drop.
+            std::mem::forget(server);
+            panic!("hz={hz}: no answer within 30 s");
+        };
+        client.join().expect("client thread");
+        let err = answer.expect_err("an out-of-range hz must be rejected");
+        assert!(
+            matches!(err, counterlab::CoreError::Protocol(_))
+                && err.to_string().contains("invalid configuration")
+                && err.to_string().contains("Hz limit"),
+            "hz={hz}: typed message must survive the wire: {err}"
+        );
+    }
+    serve::request_ping(&addr).expect("server healthy after the errors");
+    drop(server);
+}
