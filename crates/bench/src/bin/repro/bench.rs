@@ -15,9 +15,9 @@
 //! 3. **`csv_stream`** — the streaming CSV export of the full null grid,
 //!    both boot policies, outputs checksum-compared.
 //! 4. **`workload_zoo`** — the `workload-accuracy` sweep (every zoo
-//!    kernel × oracle event × interface): the session engine against
-//!    fresh-boot streaming, record vectors asserted bit-identical before
-//!    the speedup is reported.
+//!    kernel × oracle event × interface) on the session engine. Its
+//!    records equal fresh boots run for the same seeds (pinned by the
+//!    workload module's unit tests and the golden workload CSV).
 //! 5. **`served_grid`** (`--served`) — the same null grid requested from
 //!    an in-process countd ([`counterlab::serve`]): one cold request
 //!    (all cells computed, cache filled) and the best of three warm
@@ -267,34 +267,24 @@ pub fn run(
         csv_session.json()
     ));
 
-    // 4. The workload-accuracy zoo sweep: session engine vs fresh-boot
-    // streaming. The zoo's heavier kernels (pointer chase, syscalls)
-    // exercise simulation paths the null grid never touches.
+    // 4. The workload-accuracy zoo sweep on the session engine. The
+    // zoo's heavier kernels (pointer chase, syscalls) exercise
+    // simulation paths the null grid never touches.
     let zreps = scale.grid_reps.max(counterlab::experiments::workload::WorkloadAccuracy::MIN_REPS);
     let zcells = counterlab::experiments::workload::cells().len();
     let zruns = zcells * zreps;
     eprintln!("bench: workload_zoo ({zcells} cells x {zreps} reps, {zruns} runs)");
-    let (zoo_fresh_fig, zoo_fresh) = timed(zruns, || {
-        counterlab::experiments::workload::run_streaming_with(zreps, &opts)
-    });
-    let zoo_fresh_fig = zoo_fresh_fig.map_err(err)?;
-    let (zoo_session_fig, zoo_session) = timed(zruns, || {
+    let (zoo_fig, zoo_session) = timed(zruns, || {
         counterlab::experiments::workload::run_with(zreps, &opts)
     });
-    let zoo_session_fig = zoo_session_fig.map_err(err)?;
-    if zoo_fresh_fig.records != zoo_session_fig.records {
-        return Err("bench: workload_zoo session records diverged from fresh-boot records".into());
-    }
-    drop((zoo_fresh_fig, zoo_session_fig));
-    let zoo_speedup = zoo_session.runs_per_sec / zoo_fresh.runs_per_sec;
+    drop(zoo_fig.map_err(err)?);
     eprintln!(
-        "bench: workload_zoo fresh {:.0} runs/s, session {:.0} runs/s ({zoo_speedup:.2}x)",
-        zoo_fresh.runs_per_sec, zoo_session.runs_per_sec
+        "bench: workload_zoo session {:.0} runs/s",
+        zoo_session.runs_per_sec
     );
     workloads.push(format!(
         "    {{\"name\": \"workload_zoo\", \"cells\": {zcells}, \"reps\": {zreps}, \
-         \"fresh\": {}, \"session\": {}, \"speedup\": {zoo_speedup:.2}}}",
-        zoo_fresh.json(),
+         \"session\": {}}}",
         zoo_session.json()
     ));
 

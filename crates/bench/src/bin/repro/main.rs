@@ -4,10 +4,10 @@
 //! repro [--scale quick|standard|paper] [--jobs N] [--out DIR] COMMAND...
 //! ```
 //!
-//! The command set, `--stream` eligibility, ablation flags and artifact
-//! names all come from [`counterlab::experiment::registry`] — this
-//! binary is a data-driven loop over that catalog, with no per-figure
-//! dispatch of its own. `repro list` prints the catalog.
+//! The command set, ablation flags and artifact names all come from
+//! [`counterlab::experiment::registry`] — this binary is a data-driven
+//! loop over that catalog, with no per-figure dispatch of its own.
+//! `repro list` prints the catalog.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use counterlab::exec::{Priority, RunOptions};
 use counterlab::experiment::{
-    ablation_owner, registry, suggest, ConsoleSink, EngineMode, ExperimentCtx, Scale,
+    ablation_owner, registry, suggest, ConsoleSink, ExperimentCtx, Scale,
 };
 use counterlab::fault::FaultPlan;
 use counterlab::grid::Grid;
@@ -66,9 +66,8 @@ fn run(args: &[String]) -> Result<(), String> {
     let mut bench = false;
     let mut bench_json = PathBuf::from(BENCH_JSON);
     let mut json_given = false;
-    // Streaming engine: constant-memory per-cell aggregation. Experiments
-    // whose capabilities don't claim streaming run batch as usual, and
-    // `csv` output is byte-identical either way.
+    // `--stream` named the retired streaming engine. It is still accepted
+    // wherever it was and has no effect: every command has one engine.
     let mut stream = false;
     // 0 = one worker per available CPU (the engine default).
     let mut jobs: usize = 0;
@@ -192,8 +191,7 @@ fn run(args: &[String]) -> Result<(), String> {
                     commands.push(exp.id());
                 } else if let Some(owner) = ablation_owner(cmd) {
                     let flag = owner
-                        .capabilities()
-                        .ablations
+                        .ablations()
                         .iter()
                         .find(|a| a.flag == cmd)
                         .expect("owner declares the flag")
@@ -292,7 +290,6 @@ fn run(args: &[String]) -> Result<(), String> {
             priority,
             csv_out,
             experiment_id,
-            stream,
             out_dir.as_deref(),
             &call_options(timeout_ms, retries),
         );
@@ -371,20 +368,13 @@ fn run(args: &[String]) -> Result<(), String> {
     }
 
     let mut sink = ConsoleSink::new(out_dir.as_deref()).map_err(|e| e.to_string())?;
-    let mode = if stream {
-        EngineMode::Streaming
-    } else {
-        EngineMode::Batch
-    };
 
     for exp in registry() {
         if !want(exp.id()) {
             continue;
         }
-        let mut ctx = ExperimentCtx::new(scale)
-            .with_opts(RunOptions::with_jobs(jobs))
-            .with_mode(mode);
-        for ablation in exp.capabilities().ablations {
+        let mut ctx = ExperimentCtx::new(scale).with_opts(RunOptions::with_jobs(jobs));
+        for ablation in exp.ablations() {
             if ablations.contains(&ablation.flag) {
                 ctx = ctx.with_ablation(ablation.flag);
             }
@@ -475,7 +465,6 @@ fn run_client(
     priority: Option<Priority>,
     csv_out: bool,
     experiment_id: Option<&str>,
-    stream: bool,
     out_dir: Option<&std::path::Path>,
     opts: &CallOptions,
 ) -> Result<(), String> {
@@ -534,7 +523,7 @@ fn run_client(
                 .copied()
                 .unwrap_or("standard");
             let artifacts =
-                serve::request_experiment_with(addr, id, scale_name, stream, opts).map_err(err)?;
+                serve::request_experiment_with(addr, id, scale_name, opts).map_err(err)?;
             for artifact in &artifacts {
                 if let Some(dir) = out_dir {
                     std::fs::create_dir_all(dir).map_err(err)?;
@@ -580,15 +569,14 @@ fn render_list() -> String {
     let rows: Vec<Vec<String>> = registry()
         .iter()
         .map(|exp| {
-            let caps = exp.capabilities();
+            let ablations = exp.ablations();
             vec![
                 exp.id().to_string(),
                 exp.title().to_string(),
-                if caps.streaming { "yes" } else { "-" }.to_string(),
-                if caps.ablations.is_empty() {
+                if ablations.is_empty() {
                     "-".to_string()
                 } else {
-                    caps.ablations
+                    ablations
                         .iter()
                         .map(|a| a.flag)
                         .collect::<Vec<_>>()
@@ -600,7 +588,7 @@ fn render_list() -> String {
     format!(
         "Registered experiments ({}):\n\n{}",
         registry().len(),
-        report::table(&["id", "title", "--stream", "ablations"], &rows)
+        report::table(&["id", "title", "ablations"], &rows)
     )
 }
 
@@ -649,31 +637,10 @@ fn help() -> String {
 
     let mut ablations = String::new();
     for exp in registry() {
-        for a in exp.capabilities().ablations {
+        for a in exp.ablations() {
             ablations.push_str(&format!("  {} {:<15} {}\n", exp.id(), a.flag, a.effect));
         }
     }
-
-    // The streaming-eligible ids, wrapped to the options column.
-    let indent = " ".repeat(32);
-    let mut streaming = String::new();
-    let mut line = String::from("Applies to");
-    for id in registry()
-        .iter()
-        .filter(|e| e.capabilities().streaming)
-        .map(|e| e.id())
-    {
-        if line.len() + id.len() + 1 > 46 {
-            streaming.push_str(&line);
-            streaming.push('\n');
-            streaming.push_str(&indent);
-            line = String::new();
-        } else {
-            line.push(' ');
-        }
-        line.push_str(id);
-    }
-    streaming.push_str(&line);
 
     format!(
         "\
@@ -724,13 +691,9 @@ OPTIONS:
   --out DIR                     also write artifacts into DIR
   --json PATH                   bench: where the results JSON lands
                                 (default {BENCH_JSON})
-  --stream                      run on the streaming statistics engine:
-                                constant-memory per-cell aggregation.
-                                csv output is byte-identical; figure
-                                summaries match the batch engine (P2
-                                quartiles beyond the exact window).
-                                {streaming};
-                                other commands run batch as usual.
+  --stream                      accepted for compatibility; has no
+                                effect (every command runs on the one
+                                exact statistics engine)
 
 COMMANDS:
 {commands}
@@ -759,7 +722,7 @@ mod tests {
                 "{} missing from --help",
                 exp.id()
             );
-            for a in exp.capabilities().ablations {
+            for a in exp.ablations() {
                 assert!(
                     help.split_whitespace().any(|word| word == a.flag),
                     "{} missing from --help",
@@ -819,7 +782,8 @@ mod tests {
 
     /// The acceptance-criterion identity at the CLI level: the csv
     /// artifact is byte-for-byte the same under `--jobs 1`, `--jobs 4`
-    /// and the streaming engine.
+    /// and the retired `--stream` flag, and so is fig1's text (the file
+    /// `ConsoleSink` mirrors from what it prints).
     #[test]
     fn csv_identical_across_jobs_and_stream() {
         let base = std::env::temp_dir().join(format!("repro-csv-drift-{}", std::process::id()));
@@ -831,15 +795,18 @@ mod tests {
         ] {
             let dir = base.join(name);
             let mut a = args(flags);
-            a.extend(args(&["--scale", "quick", "--out", dir.to_str().unwrap(), "csv"]));
+            a.extend(args(&["--scale", "quick", "--out", dir.to_str().unwrap(), "csv", "fig1"]));
             super::run(&a).unwrap();
             let csv = std::fs::read_to_string(dir.join("full_grid.csv")).unwrap();
             assert!(csv.lines().count() > 1000, "{name}: suspiciously small csv");
-            outputs.push((name, csv));
+            let fig1 = std::fs::read_to_string(dir.join("fig1.txt")).unwrap();
+            assert!(fig1.starts_with("Figure 1"), "{name}: {fig1}");
+            outputs.push((name, csv, fig1));
         }
-        let (_, reference) = &outputs[0];
-        for (name, csv) in &outputs[1..] {
-            assert_eq!(csv, reference, "{name} diverged from --jobs 1");
+        let (_, csv_ref, fig1_ref) = &outputs[0];
+        for (name, csv, fig1) in &outputs[1..] {
+            assert_eq!(csv, csv_ref, "{name} csv diverged from --jobs 1");
+            assert_eq!(fig1, fig1_ref, "{name} fig1 diverged from --jobs 1");
         }
         let _ = std::fs::remove_dir_all(&base);
     }

@@ -225,122 +225,6 @@ where
         .collect())
 }
 
-/// Runs `work(0..total)` across the configured workers, folding each
-/// item into a per-worker **shard accumulator** instead of materializing
-/// a result vector, and merges the shards **lowest-worker-first**.
-///
-/// This is the constant-memory backbone of the streaming statistics
-/// engine: memory is `O(jobs × |A|)` regardless of `total`. Error
-/// semantics are identical to [`run_indexed`] — on the first failure the
-/// pool stops handing out indices, in-flight items drain, and the error
-/// with the **smallest index** is returned at any worker count.
-///
-/// # Determinism
-///
-/// Which items land in which shard depends on scheduling, so the final
-/// value is bit-reproducible only when the accumulator is
-/// *partition-insensitive* (integer counts, min/max, exact sums).
-/// Floating-point accumulators such as
-/// [`counterlab_stats::stream::Welford`] agree across worker counts to
-/// ≤ 1e-9 relative error (their merge is associative up to rounding); the
-/// equivalence suite locks that tolerance in. When bit-exactness is
-/// required, fold **per cell** instead ([`crate::grid::Grid::run_fold`]
-/// makes the whole cell one work item, which is exact at any `jobs`).
-///
-/// # Errors
-///
-/// The lowest-index error produced by `work`.
-pub fn run_indexed_fold<'a, A, N, F, M>(
-    total: usize,
-    opts: &RunOptions<'a>,
-    new_shard: N,
-    work: F,
-    mut merge: M,
-) -> Result<A>
-where
-    A: Send,
-    N: Fn() -> A + Sync,
-    F: Fn(usize, &mut A) -> Result<()> + Sync,
-    M: FnMut(A, A) -> A,
-{
-    let jobs = opts.effective_jobs(total);
-    if jobs <= 1 {
-        let mut shard = new_shard();
-        for i in 0..total {
-            work(i, &mut shard)?;
-            if let Some(progress) = opts.progress {
-                progress(i + 1, total);
-            }
-        }
-        return Ok(shard);
-    }
-
-    let next = AtomicUsize::new(0);
-    let completed = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-    let first_error: Mutex<Option<(usize, CoreError)>> = Mutex::new(None);
-
-    let worker = || {
-        let mut shard = new_shard();
-        loop {
-            if stop.load(Ordering::Acquire) {
-                break;
-            }
-            // countlint: allow(undocumented-relaxed-atomic) -- unique-index dispenser: only per-index uniqueness matters (any RMW ordering gives it); results are published by thread join, not by this atomic
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= total {
-                break;
-            }
-            match work(i, &mut shard) {
-                Ok(()) => {
-                    // countlint: allow(undocumented-relaxed-atomic) -- monotone progress counter consumed as a high-water mark; no data is published under it
-                    let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
-                    if let Some(progress) = opts.progress {
-                        progress(done, total);
-                    }
-                }
-                Err(e) => {
-                    // Recover a poisoned lock: the slot only ever holds
-                    // a complete `Some((index, error))`, so whatever a
-                    // panicking peer left behind is still meaningful.
-                    let mut guard = first_error
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner);
-                    if guard.as_ref().is_none_or(|(at, _)| i < *at) {
-                        *guard = Some((i, e));
-                    }
-                    drop(guard);
-                    stop.store(true, Ordering::Release);
-                }
-            }
-        }
-        shard
-    };
-
-    // Shards come back in spawn order, so the merge is always
-    // lowest-worker-first however the scheduler interleaved the joins.
-    let mut shards: Vec<A> = Vec::with_capacity(jobs);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs).map(|_| scope.spawn(worker)).collect();
-        for handle in handles {
-            // countlint: allow(panic-in-serving-path) -- a worker panicked: the sweep is already lost and re-raising the panic at join is the correct propagation
-            shards.push(handle.join().expect("engine worker panicked"));
-        }
-    });
-
-    if let Some((_, e)) = first_error
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-    {
-        return Err(e);
-    }
-    let mut merged = shards.remove(0);
-    for shard in shards {
-        merged = merge(merged, shard);
-    }
-    Ok(merged)
-}
-
 /// Runs `cells × reps` work items grouped **by cell**: each cell is one
 /// work item claimed by one worker, which creates the cell's state once
 /// (`state(cell)` — a measurement session, booted once) and then runs the
@@ -433,8 +317,9 @@ const EACH_CHUNK: usize = 2048;
 ///
 /// The observable output (call order and values of `each`) is
 /// byte-identical to iterating [`run_indexed`]'s vector, at any worker
-/// count — this is what keeps `repro --stream csv` bit-equal to the batch
-/// path while using `O(1)` memory in the record count.
+/// count — this is what keeps the fresh-boot [`crate::grid::Grid::run_csv`]
+/// path bit-equal to serializing the whole record vector while using
+/// `O(1)` memory in the record count.
 ///
 /// # Errors
 ///
@@ -726,92 +611,6 @@ mod tests {
         };
         let err = run_indexed(64, &RunOptions::with_jobs(4), work).unwrap_err();
         assert!(err.to_string().contains("all fail"));
-    }
-
-    #[test]
-    fn fold_sums_match_at_any_worker_count() {
-        // Integer sums are partition-insensitive, so the fold must be
-        // bit-exact at every jobs value.
-        let expected: u64 = (0..1000u64).map(|i| i * i).sum();
-        for jobs in [1, 2, 4, 8] {
-            let sum = run_indexed_fold(
-                1000,
-                &RunOptions::with_jobs(jobs),
-                || 0u64,
-                |i, acc| {
-                    *acc += (i as u64) * (i as u64);
-                    Ok(())
-                },
-                |a, b| a + b,
-            )
-            .unwrap();
-            assert_eq!(sum, expected, "jobs = {jobs}");
-        }
-    }
-
-    #[test]
-    fn fold_merges_every_shard_in_one_left_fold() {
-        // Workers are externally indistinguishable, so "lowest-worker-
-        // first" cannot be observed from outside (it exists to make the
-        // merge order a fixed left fold over spawn order rather than
-        // join-completion order). What *is* observable: exactly
-        // `jobs − 1` merges happen, every original shard enters the fold
-        // exactly once as a right argument, nothing is lost, and — the
-        // contract that matters to accumulators — partition-insensitive
-        // folds come out exact (fold_sums_match_at_any_worker_count).
-        let merge_count = AtomicUsize::new(0);
-        let merged = run_indexed_fold(
-            64,
-            &RunOptions::with_jobs(4),
-            Vec::new,
-            |i, acc: &mut Vec<usize>| {
-                acc.push(i);
-                Ok(())
-            },
-            |mut a, b| {
-                merge_count.fetch_add(1, Ordering::Relaxed);
-                a.extend(b);
-                a
-            },
-        )
-        .unwrap();
-        assert_eq!(merge_count.load(Ordering::Relaxed), 3, "jobs − 1 merges");
-        let mut sorted = merged.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..64).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn fold_lowest_index_error_wins() {
-        let work = |i: usize, acc: &mut u64| {
-            if i % 10 == 3 {
-                return Err(CoreError::InvalidConfig(format!("fold boom at {i}")));
-            }
-            *acc += 1;
-            Ok(())
-        };
-        for jobs in [1, 2, 4, 8] {
-            let err =
-                run_indexed_fold(100, &RunOptions::with_jobs(jobs), || 0u64, work, |a, b| a + b)
-                    .unwrap_err();
-            assert!(
-                err.to_string().contains("fold boom at 3"),
-                "jobs = {jobs}: {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn fold_empty_returns_initial_shard() {
-        let v = run_indexed_fold(
-            0,
-            &RunOptions::with_jobs(4),
-            || 7u64,
-            |_, _| Ok(()),
-            |a, b| a + b,
-        )
-        .unwrap();
-        assert_eq!(v, 7);
     }
 
     #[test]

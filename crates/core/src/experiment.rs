@@ -4,11 +4,11 @@
 //! turns each of them into a registered [`Experiment`]:
 //!
 //! * [`Experiment`] — the driver trait: an `id` (the CLI command), a
-//!   `title`, [`Capabilities`] (streaming support, ablation flags) and a
-//!   `run` that produces a [`Report`];
+//!   `title`, the [`Ablation`] flags it accepts and a `run` that produces
+//!   a [`Report`];
 //! * [`ExperimentCtx`] — everything a run needs: the repetition
-//!   [`Scale`], execution-engine [`RunOptions`], the [`EngineMode`]
-//!   selector and any enabled ablation flags;
+//!   [`Scale`], execution-engine [`RunOptions`] and any enabled ablation
+//!   flags;
 //! * [`Report`] / [`Artifact`] — named outputs (rendered text, CSV row
 //!   streams) that a pluggable [`Sink`] consumes: [`ConsoleSink`] for the
 //!   CLI, [`DirSink`] for file-only output, [`MemorySink`] for tests;
@@ -32,8 +32,8 @@
 //!
 //! Implement the trait on a unit struct in the relevant
 //! [`crate::experiments`] module and add it to [`registry`]; the CLI's
-//! command validation, `list` output, `all` sweep, `--stream`
-//! eligibility and artifact emission pick it up with no further wiring:
+//! command validation, `list` output, `all` sweep and artifact emission
+//! pick it up with no further wiring:
 //!
 //! ```
 //! use counterlab::experiment::{Experiment, ExperimentCtx, Report};
@@ -98,8 +98,9 @@ impl Scale {
         }
     }
 
-    /// Paper scale: comparable measurement counts to the original study
-    /// (Figure 1 pools >170000 measurements).
+    /// Paper scale: measurement counts of the original study's order.
+    /// Figure 1 pools 1920 cells × 55 reps = 105 600 measurements, about
+    /// 62 % of the "over 170000" the paper reports for its Figure 1.
     pub fn paper() -> Self {
         Scale {
             grid_reps: 55,
@@ -120,19 +121,6 @@ impl Scale {
     }
 }
 
-/// Which statistics engine an experiment runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineMode {
-    /// Materialize every record, then summarize (exact quantiles,
-    /// whiskers, outliers, bootstrap CIs).
-    #[default]
-    Batch,
-    /// Fold records into constant-memory accumulators on the workers
-    /// ([`counterlab_stats::stream`]); summaries agree with batch within
-    /// the documented tolerances.
-    Streaming,
-}
-
 /// An ablation an experiment understands: a CLI flag plus the effect it
 /// has, straight out of the paper's narrative.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,42 +131,14 @@ pub struct Ablation {
     pub effect: &'static str,
 }
 
-/// What an experiment can do beyond a plain batch run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Capabilities {
-    /// Whether [`EngineMode::Streaming`] selects a real streaming
-    /// implementation (otherwise the experiment always runs batch).
-    pub streaming: bool,
-    /// Ablation flags this experiment accepts.
-    pub ablations: &'static [Ablation],
-}
-
-impl Capabilities {
-    /// Batch-only, no ablations.
-    pub const BATCH_ONLY: Capabilities = Capabilities {
-        streaming: false,
-        ablations: &[],
-    };
-
-    /// Streaming-capable, no ablations.
-    pub const STREAMING: Capabilities = Capabilities {
-        streaming: true,
-        ablations: &[],
-    };
-}
-
-/// Everything an [`Experiment::run`] needs: scale, engine options, the
-/// engine-mode selector and enabled ablations.
+/// Everything an [`Experiment::run`] needs: scale, engine options and
+/// enabled ablations.
 #[derive(Debug, Clone, Default)]
 pub struct ExperimentCtx<'a> {
     /// Repetition preset.
     pub scale: Scale,
     /// Execution-engine options (worker count, progress callback).
     pub opts: RunOptions<'a>,
-    /// Requested statistics engine. Experiments whose
-    /// [`Capabilities::streaming`] is `false` run batch regardless; use
-    /// [`Experiment::engine`] to resolve the effective mode.
-    pub mode: EngineMode,
     /// Enabled ablation flags (validated against the registry by the
     /// CLI before any experiment runs).
     pub ablations: Vec<&'static str>,
@@ -191,13 +151,12 @@ impl Default for Scale {
 }
 
 impl<'a> ExperimentCtx<'a> {
-    /// A batch-mode context at the given scale with default engine
-    /// options and no ablations.
+    /// A context at the given scale with default engine options and no
+    /// ablations.
     pub fn new(scale: Scale) -> Self {
         ExperimentCtx {
             scale,
             opts: RunOptions::default(),
-            mode: EngineMode::Batch,
             ablations: Vec::new(),
         }
     }
@@ -205,12 +164,6 @@ impl<'a> ExperimentCtx<'a> {
     /// Replaces the execution-engine options.
     pub fn with_opts(mut self, opts: RunOptions<'a>) -> Self {
         self.opts = opts;
-        self
-    }
-
-    /// Selects the statistics engine.
-    pub fn with_mode(mut self, mode: EngineMode) -> Self {
-        self.mode = mode;
         self
     }
 
@@ -237,18 +190,9 @@ pub trait Experiment: Sync {
     /// One-line human title shown by `repro list`.
     fn title(&self) -> &'static str;
 
-    /// What the experiment supports beyond a plain batch run.
-    fn capabilities(&self) -> Capabilities {
-        Capabilities::BATCH_ONLY
-    }
-
-    /// Resolves the engine the experiment will actually use for `ctx`:
-    /// [`EngineMode::Streaming`] only when both requested and supported.
-    fn engine(&self, ctx: &ExperimentCtx<'_>) -> EngineMode {
-        match ctx.mode {
-            EngineMode::Streaming if self.capabilities().streaming => EngineMode::Streaming,
-            _ => EngineMode::Batch,
-        }
+    /// The ablation flags this experiment accepts.
+    fn ablations(&self) -> &'static [Ablation] {
+        &[]
     }
 
     /// Runs the experiment and returns its artifacts.
@@ -717,7 +661,7 @@ pub fn ablation_owner(flag: &str) -> Option<&'static dyn Experiment> {
     registry()
         .iter()
         .copied()
-        .find(|e| e.capabilities().ablations.iter().any(|a| a.flag == flag))
+        .find(|e| e.ablations().iter().any(|a| a.flag == flag))
 }
 
 /// Near-miss ids for an unknown command: registered ids within
@@ -764,6 +708,14 @@ mod tests {
         assert_eq!(Scale::default(), Scale::standard());
     }
 
+    /// The [`Scale::paper`] doc's Figure 1 count is the real one.
+    #[test]
+    fn paper_scale_fig1_pools_105_600_measurements() {
+        let grid = crate::grid::Grid::full_null(Scale::paper().grid_reps);
+        assert_eq!(grid.cells().count(), 1920);
+        assert_eq!(grid.run_count(), 105_600);
+    }
+
     #[test]
     fn registry_lookup_and_order() {
         assert!(find("fig1").is_some());
@@ -804,17 +756,6 @@ mod tests {
         let ctx = ExperimentCtx::new(Scale::quick()).with_ablation("--no-timer");
         assert!(ctx.ablated("--no-timer"));
         assert!(!ctx.ablated("--single-build"));
-    }
-
-    #[test]
-    fn engine_resolution_respects_capabilities() {
-        let streaming_ctx = ExperimentCtx::new(Scale::quick()).with_mode(EngineMode::Streaming);
-        let batch_ctx = ExperimentCtx::new(Scale::quick());
-        let fig1 = find("fig1").unwrap();
-        let fig6 = find("fig6").unwrap();
-        assert_eq!(fig1.engine(&streaming_ctx), EngineMode::Streaming);
-        assert_eq!(fig1.engine(&batch_ctx), EngineMode::Batch);
-        assert_eq!(fig6.engine(&streaming_ctx), EngineMode::Batch);
     }
 
     #[test]

@@ -9,12 +9,11 @@
 use counterlab_cpu::pmu::Event;
 use counterlab_cpu::uarch::Processor;
 use counterlab_stats::anova::{Anova, AnovaTable, Factor};
-use counterlab_stats::stream::Welford;
 
 use crate::benchmark::Benchmark;
 use crate::config::OptLevel;
 use crate::exec::RunOptions;
-use crate::experiment::{Capabilities, EngineMode, Experiment, ExperimentCtx, Report};
+use crate::experiment::{Experiment, ExperimentCtx, Report};
 use crate::grid::Grid;
 use crate::interface::{CountingMode, Interface};
 use crate::pattern::Pattern;
@@ -59,16 +58,8 @@ impl Experiment for AnovaFigure {
         "§4.3: n-way ANOVA of the error factors"
     }
 
-    fn capabilities(&self) -> Capabilities {
-        Capabilities::STREAMING
-    }
-
     fn run(&self, ctx: &ExperimentCtx<'_>) -> Result<Report> {
-        let reps = ctx.scale.grid_reps.max(Self::MIN_REPS);
-        let exp = match self.engine(ctx) {
-            EngineMode::Streaming => run_streaming_with(reps, &ctx.opts)?,
-            EngineMode::Batch => run_with(reps, &ctx.opts)?,
-        };
+        let exp = run_with(ctx.scale.grid_reps.max(Self::MIN_REPS), &ctx.opts)?;
         Ok(Report::text("anova.txt", exp.render()))
     }
 }
@@ -142,34 +133,6 @@ pub fn run_with(reps: usize, opts: &RunOptions<'_>) -> Result<AnovaExperiment> {
     })
 }
 
-/// [`run_with`] on the streaming engine: each grid cell folds its repetitions
-/// into one [`Welford`] accumulator, and the cells feed
-/// [`Anova::add_group`] in enumeration order — no record vector is ever
-/// materialized, and the result is deterministic at any worker count (the
-/// per-cell fold is exact; see [`crate::grid::Grid::run_fold`]).
-///
-/// # Errors
-///
-/// Propagates grid and ANOVA failures.
-pub fn run_streaming_with(reps: usize, opts: &RunOptions<'_>) -> Result<AnovaExperiment> {
-    let cells = anova_grid(reps).run_fold(
-        opts,
-        |_| Welford::new(),
-        |acc, record| acc.push(record.error() as f64),
-    )?;
-    let mut anova = anova_skeleton();
-    let mut measurements = 0usize;
-    for (config, group) in &cells {
-        measurements += group.count() as usize;
-        anova.add_group(&levels_of(config), group)?;
-    }
-    let table = anova.run()?;
-    Ok(AnovaExperiment {
-        table,
-        measurements,
-    })
-}
-
 impl AnovaExperiment {
     /// Whether the experiment reproduces the paper's conclusion: all
     /// factors but the optimization level significant.
@@ -234,28 +197,5 @@ mod tests {
         let text = exp.render();
         assert!(text.contains("ANOVA"));
         assert!(text.contains("REPRODUCED"));
-    }
-
-    #[test]
-    fn streaming_matches_batch_table() {
-        let batch = run_with(2, &RunOptions::default()).unwrap();
-        let stream = run_streaming_with(2, &RunOptions::default()).unwrap();
-        assert_eq!(stream.measurements, batch.measurements);
-        assert_eq!(stream.table.n(), batch.table.n());
-        for row in batch.table.rows() {
-            let s = stream.table.row(&row.factor).unwrap();
-            assert_eq!(s.df, row.df, "{}", row.factor);
-            // Grouped sums differ from per-record sums only by
-            // float-summation rounding.
-            let tol = 1e-9 * row.sum_sq.abs().max(1.0);
-            assert!(
-                (s.sum_sq - row.sum_sq).abs() <= tol,
-                "{}: {} vs {}",
-                row.factor,
-                s.sum_sq,
-                row.sum_sq
-            );
-        }
-        assert_eq!(stream.matches_paper(0.001), batch.matches_paper(0.001));
     }
 }

@@ -1,20 +1,16 @@
 //! The full null-grid CSV dump — the raw data behind Figure 1, exported
 //! for external analysis.
 //!
-//! Both engines serialize byte-identically (the equivalence is pinned by
-//! `tests/golden_csv.rs`); they differ only in how the bytes are
-//! produced. Batch materializes the record vector and serializes it in
-//! one pass; streaming pushes lines to the sink in index order as
-//! bounded chunks complete, `O(1)` memory in the record count.
+//! [`Grid::run_csv`] pushes lines to the sink in index order as bounded
+//! chunks complete, `O(1)` memory in the record count; the bytes equal
+//! `records_to_csv(run_with(..))` exactly (pinned by
+//! `tests/golden_csv.rs`).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::exec::RunOptions;
-use crate::experiment::{
-    Artifact, Capabilities, EngineMode, Experiment, ExperimentCtx, Report,
-};
+use crate::experiment::{Artifact, Experiment, ExperimentCtx, Report};
 use crate::grid::Grid;
-use crate::report;
 use crate::Result;
 
 /// The artifact name the dump lands under.
@@ -26,7 +22,7 @@ pub const ARTIFACT: &str = "full_grid.csv";
 /// artifact, reporting decile progress on stderr when `progress` is set
 /// (stdout stays parseable). `jobs` follows [`RunOptions::jobs`]
 /// semantics (`0` = one worker per CPU).
-pub fn csv_artifact(grid: Grid, mode: EngineMode, jobs: usize, progress: bool) -> Artifact {
+pub fn csv_artifact(grid: Grid, jobs: usize, progress: bool) -> Artifact {
     Artifact::rows(
         ARTIFACT,
         Box::new(move |push| {
@@ -42,17 +38,8 @@ pub fn csv_artifact(grid: Grid, mode: EngineMode, jobs: usize, progress: bool) -
             if progress {
                 opts = opts.with_progress(&report_decile);
             }
-            match mode {
-                EngineMode::Streaming => {
-                    let written = grid.run_csv(&opts, |line| push(line))?;
-                    Ok(written as u64)
-                }
-                EngineMode::Batch => {
-                    let records = grid.run_with(&opts)?;
-                    push(&report::records_to_csv(&records));
-                    Ok(records.len() as u64)
-                }
-            }
+            let written = grid.run_csv(&opts, |line| push(line))?;
+            Ok(written as u64)
         }),
     )
 }
@@ -77,14 +64,10 @@ impl Experiment for CsvDump {
         "full null grid as CSV (the raw data behind Figure 1)"
     }
 
-    fn capabilities(&self) -> Capabilities {
-        Capabilities::STREAMING
-    }
-
     fn run(&self, ctx: &ExperimentCtx<'_>) -> Result<Report> {
         let grid = Grid::full_null(ctx.scale.grid_reps);
         let mut report = Report::new();
-        report.push(csv_artifact(grid, self.engine(ctx), ctx.opts.jobs, true));
+        report.push(csv_artifact(grid, ctx.opts.jobs, true));
         Ok(report)
     }
 }
@@ -93,25 +76,20 @@ impl Experiment for CsvDump {
 mod tests {
     use super::*;
     use crate::experiment::{MemorySink, Scale, Sink};
+    use crate::report;
 
-    /// Both engines produce byte-identical artifacts through the sink
-    /// API, and the reported record count matches the data-line count.
+    /// The artifact holds the batch serialization of the grid's records,
+    /// and the reported record count matches the data-line count.
     #[test]
-    fn batch_and_streaming_artifacts_identical() {
-        let mut grids = Vec::new();
-        for mode in [EngineMode::Batch, EngineMode::Streaming] {
-            let mut g = Grid::new(crate::benchmark::Benchmark::Null);
-            g.reps = 2;
-            let mut sink = MemorySink::new();
-            let rows = sink
-                .consume(csv_artifact(g, mode, 2, false))
-                .unwrap()
-                .unwrap();
-            let stored = sink.get(ARTIFACT).unwrap();
-            assert_eq!(stored.content.lines().count() as u64, rows + 1, "{mode:?}");
-            grids.push(stored.content.clone());
-        }
-        assert_eq!(grids[0], grids[1]);
+    fn artifact_matches_batch_bytes() {
+        let mut g = Grid::new(crate::benchmark::Benchmark::Null);
+        g.reps = 2;
+        let batch = report::records_to_csv(&g.run().unwrap());
+        let mut sink = MemorySink::new();
+        let rows = sink.consume(csv_artifact(g, 2, false)).unwrap().unwrap();
+        let stored = sink.get(ARTIFACT).unwrap();
+        assert_eq!(stored.content.lines().count() as u64, rows + 1);
+        assert_eq!(stored.content, batch);
     }
 
     #[test]

@@ -14,16 +14,13 @@
 use counterlab_cpu::uarch::Processor;
 use counterlab_stats::boxplot::BoxPlot;
 use counterlab_stats::regression::LinearFit;
-use counterlab_stats::stream::{Covariance, SummaryAccumulator};
 
 use crate::benchmark::Benchmark;
 use crate::config::MeasurementConfig;
 use crate::exec::{self, RunOptions};
-use crate::experiment::{
-    Ablation, Capabilities, EngineMode, Experiment, ExperimentCtx, Report,
-};
+use crate::experiment::{Ablation, Experiment, ExperimentCtx, Report};
 use crate::interface::{CountingMode, Interface};
-use crate::measure::{run_measurement, MeasurementSession, Record};
+use crate::measure::{MeasurementSession, Record};
 use crate::pattern::Pattern;
 use crate::report;
 use crate::exec::SESSION_REP_BLOCK;
@@ -93,11 +90,8 @@ impl Experiment for Fig7 {
         "Figure 7: user+kernel error grows with benchmark duration"
     }
 
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            streaming: true,
-            ablations: &[NO_TIMER],
-        }
+    fn ablations(&self) -> &'static [Ablation] {
+        &[NO_TIMER]
     }
 
     fn run(&self, ctx: &ExperimentCtx<'_>) -> Result<Report> {
@@ -106,7 +100,7 @@ impl Experiment for Fig7 {
         } else {
             DEFAULT_HZ
         };
-        let fig = slopes_for_ctx(self, ctx, CountingMode::UserKernel, hz)?;
+        let fig = slopes_for_ctx(ctx, CountingMode::UserKernel, hz)?;
         Ok(Report::text("fig7.txt", fig.render()))
     }
 }
@@ -123,31 +117,16 @@ impl Experiment for Fig8 {
         "Figure 8: user-mode error nearly duration-independent"
     }
 
-    fn capabilities(&self) -> Capabilities {
-        Capabilities::STREAMING
-    }
-
     fn run(&self, ctx: &ExperimentCtx<'_>) -> Result<Report> {
-        let fig = slopes_for_ctx(self, ctx, CountingMode::User, DEFAULT_HZ)?;
+        let fig = slopes_for_ctx(ctx, CountingMode::User, DEFAULT_HZ)?;
         Ok(Report::text("fig8.txt", fig.render()))
     }
 }
 
 /// The shared Figure 7/8 body: the [`DEFAULT_SIZES`] sweep at the ctx's
-/// duration reps, on whichever engine the ctx resolves to.
-fn slopes_for_ctx(
-    exp: &dyn Experiment,
-    ctx: &ExperimentCtx<'_>,
-    mode: CountingMode,
-    hz: u32,
-) -> Result<DurationFigure> {
-    let reps = ctx.scale.duration_reps;
-    match exp.engine(ctx) {
-        EngineMode::Streaming => {
-            run_slopes_streaming_with(mode, &DEFAULT_SIZES, reps, hz, &ctx.opts)
-        }
-        EngineMode::Batch => run_slopes_with(mode, &DEFAULT_SIZES, reps, hz, &ctx.opts),
-    }
+/// duration reps.
+fn slopes_for_ctx(ctx: &ExperimentCtx<'_>, mode: CountingMode, hz: u32) -> Result<DurationFigure> {
+    run_slopes_with(mode, &DEFAULT_SIZES, ctx.scale.duration_reps, hz, &ctx.opts)
 }
 
 /// Registry driver for Figure 9. The paper measures perfctr on the
@@ -163,25 +142,9 @@ impl Experiment for Fig9Experiment {
         "Figure 9: kernel-mode instructions by loop size (pc on CD)"
     }
 
-    fn capabilities(&self) -> Capabilities {
-        Capabilities::STREAMING
-    }
-
     fn run(&self, ctx: &ExperimentCtx<'_>) -> Result<Report> {
-        let reps = ctx.scale.fig9_reps;
-        let text = match self.engine(ctx) {
-            EngineMode::Streaming => run_fig9_streaming_with(
-                Processor::Core2Duo,
-                &FIG9_SIZES,
-                reps,
-                &ctx.opts,
-            )?
-            .render(),
-            EngineMode::Batch => {
-                run_fig9_with(Processor::Core2Duo, &FIG9_SIZES, reps, &ctx.opts)?.render()
-            }
-        };
-        Ok(Report::text("fig9.txt", text))
+        let fig = run_fig9_with(Processor::Core2Duo, &FIG9_SIZES, ctx.scale.fig9_reps, &ctx.opts)?;
+        Ok(Report::text("fig9.txt", fig.render()))
     }
 }
 
@@ -259,72 +222,6 @@ pub fn run_slopes_with(
             intercept: fit.intercept(),
             r_squared: fit.r_squared(),
             points: xs.len(),
-        });
-    }
-    Ok(DurationFigure { mode, cells })
-}
-
-/// [`run_slopes_with`] on the streaming engine: the same sweep (same per-run
-/// seeds, hence the same simulated measurements), but every `(loop size,
-/// error)` point folds straight into a per-pair [`Covariance`]
-/// accumulator on the worker that produced it — nothing is materialized.
-/// Worker shards merge lowest-worker-first, so the fitted slopes agree
-/// with the batch path to float-summation rounding (≤ 1e-9 relative; the
-/// equivalence suite locks this in).
-///
-/// # Errors
-///
-/// Propagates measurement and regression failures.
-pub fn run_slopes_streaming_with(
-    mode: CountingMode,
-    sizes: &[u64],
-    reps: usize,
-    hz: u32,
-    opts: &RunOptions<'_>,
-) -> Result<DurationFigure> {
-    let reps = reps.max(1);
-    let per_pair = sizes.len() * reps;
-    let pairs: Vec<(Interface, Processor)> = Interface::ALL
-        .iter()
-        .flat_map(|&i| Processor::ALL.iter().map(move |&p| (i, p)))
-        .collect();
-    let fits = exec::run_indexed_fold(
-        pairs.len() * per_pair,
-        opts,
-        || vec![Covariance::new(); pairs.len()],
-        |idx, shard| {
-            let (interface, processor) = pairs[idx / per_pair];
-            let size = sizes[(idx % per_pair) / reps];
-            let rep = idx % reps;
-            // Identical seed derivation to `run_slopes_with`: the two
-            // engines measure the same simulated runs.
-            let seed = 0xD0_0D
-                ^ size.wrapping_mul(0x9E37_79B9)
-                ^ ((rep as u64) << 17)
-                ^ ((interface as u64) << 40)
-                ^ ((processor as u64) << 47);
-            let cfg = MeasurementConfig::new(processor, interface)
-                .with_pattern(Pattern::StartRead)
-                .with_mode(mode)
-                .with_hz(hz)
-                .with_seed(seed);
-            let rec = run_measurement(&cfg, Benchmark::Loop { iters: size })?;
-            shard[idx / per_pair].push(size as f64, rec.error() as f64);
-            Ok(())
-        },
-        counterlab_stats::stream::merge_zip,
-    )?;
-
-    let mut cells = Vec::new();
-    for (pair_idx, &(interface, processor)) in pairs.iter().enumerate() {
-        let fit = &fits[pair_idx];
-        cells.push(SlopeCell {
-            interface,
-            processor,
-            slope: fit.slope().map_err(crate::CoreError::from)?,
-            intercept: fit.intercept().map_err(crate::CoreError::from)?,
-            r_squared: fit.r_squared().map_err(crate::CoreError::from)?,
-            points: fit.count() as usize,
         });
     }
     Ok(DurationFigure { mode, cells })
@@ -487,116 +384,6 @@ impl Fig9 {
     }
 }
 
-/// One row of the streaming Figure 9: a loop size's kernel-instruction
-/// summary (quartiles instead of the batch path's whisker/outlier box).
-#[derive(Debug, Clone)]
-pub struct StreamingFig9Row {
-    /// Loop size.
-    pub size: u64,
-    /// Kernel-instruction error summary for this size.
-    pub summary: counterlab_stats::descriptive::Summary,
-}
-
-/// The Figure 9 data on the streaming engine.
-#[derive(Debug, Clone)]
-pub struct StreamingFig9 {
-    /// One row per loop size.
-    pub rows: Vec<StreamingFig9Row>,
-    /// Regression slope through all (size, kernel instructions) points.
-    pub slope: f64,
-    /// Processor used.
-    pub processor: Processor,
-}
-
-/// [`run_fig9_with`] on the streaming engine: per-size
-/// [`SummaryAccumulator`]s plus one [`Covariance`] for the slope, folded
-/// on the workers; memory is `O(sizes)` however many repetitions run.
-///
-/// # Errors
-///
-/// Propagates measurement and statistics failures.
-pub fn run_fig9_streaming_with(
-    processor: Processor,
-    sizes: &[u64],
-    reps: usize,
-    opts: &RunOptions<'_>,
-) -> Result<StreamingFig9> {
-    let reps = reps.max(2);
-    let (accs, cov) = exec::run_indexed_fold(
-        sizes.len() * reps,
-        opts,
-        || {
-            (
-                vec![SummaryAccumulator::new(); sizes.len()],
-                Covariance::new(),
-            )
-        },
-        |idx, (accs, cov)| {
-            let size = sizes[idx / reps];
-            let rep = idx % reps;
-            // Identical seed derivation to `run_fig9_with`.
-            let cfg = MeasurementConfig::new(processor, Interface::Pc)
-                .with_pattern(Pattern::StartRead)
-                .with_mode(CountingMode::Kernel)
-                .with_seed(0xF169 ^ size.wrapping_mul(1_000_003) ^ (rep as u64) << 20);
-            let rec = run_measurement(&cfg, Benchmark::Loop { iters: size })?;
-            let error = rec.error() as f64;
-            accs[idx / reps].push(error);
-            cov.push(size as f64, error);
-            Ok(())
-        },
-        |(a, mut c), (b, d)| {
-            c.merge(d);
-            (counterlab_stats::stream::merge_zip(a, b), c)
-        },
-    )?;
-
-    let rows = sizes
-        .iter()
-        .zip(accs)
-        .map(|(&size, acc)| {
-            Ok(StreamingFig9Row {
-                size,
-                summary: acc.finish().map_err(crate::CoreError::from)?,
-            })
-        })
-        .collect::<Result<Vec<_>>>()?;
-    Ok(StreamingFig9 {
-        rows,
-        slope: cov.slope().map_err(crate::CoreError::from)?,
-        processor,
-    })
-}
-
-impl StreamingFig9 {
-    /// Renders the figure from the streamed summaries.
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "Figure 9: Kernel Mode Instructions by Loop Size (pc on {}, streaming)\n\
-             regression slope: {:.5} kernel instructions/iteration\n\n",
-            self.processor, self.slope
-        );
-        let rows: Vec<Vec<String>> = self
-            .rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.size.to_string(),
-                    format!("{:.0}", r.summary.mean()),
-                    format!("{:.0}", r.summary.median()),
-                    format!("{:.0}", r.summary.q1()),
-                    format!("{:.0}", r.summary.q3()),
-                ]
-            })
-            .collect();
-        out.push_str(&report::table(
-            &["loop size", "mean", "median", "q1", "q3"],
-            &rows,
-        ));
-        out
-    }
-}
-
 /// Collects the raw records of a duration sweep (used by the CSV export
 /// and the benches).
 ///
@@ -738,57 +525,6 @@ mod tests {
         assert!(last > first + 500.0, "first {first} last {last}");
         // Order of the paper's ~2500 kernel instructions at 1M iterations.
         assert!((800.0..=4_500.0).contains(&last), "mean at 1M = {last}");
-    }
-
-    #[test]
-    fn streaming_slopes_match_batch() {
-        let sizes = [500_000u64, 2_000_000, 5_000_000];
-        let batch = run_slopes_with(CountingMode::UserKernel, &sizes, 3, 250, &RunOptions::default()).unwrap();
-        let stream = run_slopes_streaming_with(
-            CountingMode::UserKernel,
-            &sizes,
-            3,
-            250,
-            &RunOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(stream.cells.len(), batch.cells.len());
-        for b in &batch.cells {
-            let s = stream.cell(b.interface, b.processor).unwrap();
-            assert_eq!(s.points, b.points);
-            // Same simulated runs, different summation order: equal to
-            // float rounding.
-            assert!(
-                (s.slope - b.slope).abs() <= 1e-9 * b.slope.abs().max(1e-12),
-                "{}/{}: {} vs {}",
-                b.interface,
-                b.processor,
-                s.slope,
-                b.slope
-            );
-            assert!((s.intercept - b.intercept).abs() <= 1e-6 * b.intercept.abs().max(1.0));
-            assert!((s.r_squared - b.r_squared).abs() <= 1e-9);
-        }
-    }
-
-    #[test]
-    fn streaming_fig9_matches_batch() {
-        let fig = run_fig9_with(Processor::Core2Duo, &[1, 250_000, 1_000_000], 30, &RunOptions::default()).unwrap();
-        let stream = run_fig9_streaming_with(
-            Processor::Core2Duo,
-            &[1, 250_000, 1_000_000],
-            30,
-            &RunOptions::default(),
-        )
-        .unwrap();
-        assert!((stream.slope - fig.slope).abs() <= 1e-9 * fig.slope.abs().max(1e-12));
-        for (s, b) in stream.rows.iter().zip(&fig.boxes) {
-            assert_eq!(s.size, b.size);
-            // 30 reps stay inside the exact window: medians are equal.
-            assert_eq!(s.summary.median(), b.boxplot.median());
-            assert!((s.summary.mean() - b.mean).abs() <= 1e-9 * b.mean.abs().max(1.0));
-        }
-        assert!(stream.render().contains("streaming"));
     }
 
     #[test]

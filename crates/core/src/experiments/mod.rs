@@ -21,12 +21,11 @@
 //! Every submodule registers its drivers as [`crate::experiment::Experiment`]
 //! impls in [`crate::experiment::registry`] — the one public API for
 //! running reproductions. A driver's context carries the repetition
-//! scale, the execution-engine options, and the engine-mode selector:
-//! streaming is a ctx flag ([`crate::experiment::EngineMode::Streaming`]),
-//! not a parallel API, and experiments that need the raw sample (KDE
-//! violins, box-plot outliers, bootstrap CIs) simply declare themselves
-//! batch-only. The typed `*_with` functions remain underneath for tests
-//! and benches that compare engines or sweep custom sizes.
+//! scale, the execution-engine options and any enabled ablations. Every
+//! driver has one statistics path: it runs its sweep, keeps the raw
+//! sample, and summarizes it exactly (KDE violins, box-plot outliers,
+//! bootstrap CIs). The typed `*_with` functions remain underneath for
+//! tests and benches that sweep custom sizes.
 
 pub mod anova;
 pub mod cache;

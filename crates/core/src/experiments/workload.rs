@@ -10,11 +10,10 @@
 //! conformance suite guarantees is pure infrastructure perturbation,
 //! never model slack.
 //!
-//! Both engines visit the same cells with the same per-run seeds and
-//! fold errors into the same accumulators in the same flat order, so
-//! the rendered table and the raw-record CSV are byte-identical across
-//! batch/streaming, any job count, and the served path (pinned by
-//! `tests/golden_csv.rs`).
+//! Every cell runs with fixed per-run seeds and the errors fold into the
+//! rows in flat cell order, so the rendered table and the raw-record CSV
+//! are byte-identical at any job count and on the served path (pinned by
+//! `tests/golden_workload_csv.rs`).
 
 use counterlab_cpu::hash::seed_combine;
 use counterlab_cpu::pmu::Event;
@@ -24,11 +23,9 @@ use counterlab_stats::stream::SummaryAccumulator;
 use crate::benchmark::Benchmark;
 use crate::config::MeasurementConfig;
 use crate::exec::{self, RunOptions};
-use crate::experiment::{
-    Artifact, Capabilities, EngineMode, Experiment, ExperimentCtx, Report,
-};
+use crate::experiment::{Artifact, Experiment, ExperimentCtx, Report};
 use crate::interface::{CountingMode, Interface};
-use crate::measure::{run_measurement, MeasurementSession, Record};
+use crate::measure::{MeasurementSession, Record};
 use crate::pattern::Pattern;
 use crate::report;
 use crate::Result;
@@ -74,8 +71,8 @@ pub fn cells() -> Vec<(Benchmark, Event, Interface)> {
     out
 }
 
-/// The per-run seed — one definition shared by the batch and streaming
-/// engines and by the session boot.
+/// The per-run seed — one definition shared by the runs and the session
+/// boot.
 fn wa_seed(cell: usize, rep: usize) -> u64 {
     seed_combine(seed_combine(0x20_AC00, cell as u64), rep as u64)
 }
@@ -110,9 +107,7 @@ pub struct WorkloadFigure {
     pub records: Vec<Record>,
 }
 
-/// Folds the flat record sequence into per-(workload, event) rows —
-/// the single aggregation path both engines share, so their outputs
-/// cannot diverge.
+/// Folds the flat record sequence into per-(workload, event) rows.
 fn aggregate(records: &[Record], reps: usize) -> Result<Vec<WorkloadRow>> {
     let cells = cells();
     let classes = Benchmark::zoo(WorkloadAccuracy::ITERS).len() * EVENTS.len();
@@ -133,8 +128,8 @@ fn aggregate(records: &[Record], reps: usize) -> Result<Vec<WorkloadRow>> {
     Ok(rows)
 }
 
-/// Runs the sweep on the batch engine: per-cell measurement sessions
-/// (boot once per cell block), records materialized in flat order.
+/// Runs the sweep: per-cell measurement sessions (boot once per cell
+/// block), records materialized in flat order.
 ///
 /// # Errors
 ///
@@ -151,30 +146,6 @@ pub fn run_with(reps: usize, opts: &RunOptions<'_>) -> Result<WorkloadFigure> {
             MeasurementSession::new(&cfg_for(&cells[cell], cell, first_rep), cells[cell].0)
         },
         |session, idx| session.run(wa_seed(idx / reps, idx % reps)),
-    )?;
-    let rows = aggregate(&records, reps)?;
-    Ok(WorkloadFigure { rows, records })
-}
-
-/// [`run_with`] on the streaming engine: the same sweep (same seeds)
-/// with fresh-boot measurements handed back in flat index order — the
-/// session ≡ fresh-boot bit-identity invariant makes the records equal.
-///
-/// # Errors
-///
-/// Propagates measurement and statistics failures.
-pub fn run_streaming_with(reps: usize, opts: &RunOptions<'_>) -> Result<WorkloadFigure> {
-    let reps = reps.max(2);
-    let cells = cells();
-    let mut records = Vec::with_capacity(cells.len() * reps);
-    exec::run_indexed_each(
-        cells.len() * reps,
-        opts,
-        |idx| {
-            let cell = idx / reps;
-            run_measurement(&cfg_for(&cells[cell], cell, idx % reps), cells[cell].0)
-        },
-        |_, rec| records.push(rec),
     )?;
     let rows = aggregate(&records, reps)?;
     Ok(WorkloadFigure { rows, records })
@@ -238,16 +209,8 @@ impl Experiment for WorkloadAccuracy {
         "extension: counter accuracy vs. workload class (zoo sweep, K8)"
     }
 
-    fn capabilities(&self) -> Capabilities {
-        Capabilities::STREAMING
-    }
-
     fn run(&self, ctx: &ExperimentCtx<'_>) -> Result<Report> {
-        let reps = ctx.scale.grid_reps.max(Self::MIN_REPS);
-        let figure = match self.engine(ctx) {
-            EngineMode::Streaming => run_streaming_with(reps, &ctx.opts)?,
-            EngineMode::Batch => run_with(reps, &ctx.opts)?,
-        };
+        let figure = run_with(ctx.scale.grid_reps.max(Self::MIN_REPS), &ctx.opts)?;
         let mut report = Report::text(TEXT_ARTIFACT, figure.render());
         report.push(figure.csv_artifact());
         Ok(report)
@@ -287,12 +250,23 @@ mod tests {
         }
     }
 
+    /// The session sweep measures exactly what fresh boots measure for
+    /// the same cells and seeds, at any worker count.
     #[test]
-    fn streaming_matches_batch_bit_for_bit() {
-        let batch = run_with(2, &RunOptions::default()).unwrap();
-        let stream = run_streaming_with(2, &RunOptions::with_jobs(3)).unwrap();
-        assert_eq!(batch.records, stream.records);
-        assert_eq!(batch.render(), stream.render());
+    fn session_records_match_fresh_boot() {
+        let reps = 2;
+        let cells = cells();
+        let fresh: Vec<Record> = (0..cells.len() * reps)
+            .map(|idx| {
+                let cell = idx / reps;
+                let cfg = cfg_for(&cells[cell], cell, idx % reps);
+                crate::measure::run_measurement(&cfg, cells[cell].0).unwrap()
+            })
+            .collect();
+        for jobs in [1, 3] {
+            let fig = run_with(reps, &RunOptions::with_jobs(jobs)).unwrap();
+            assert_eq!(fig.records, fresh, "jobs = {jobs}");
+        }
     }
 
     #[test]

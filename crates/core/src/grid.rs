@@ -9,8 +9,6 @@
 
 use counterlab_cpu::pmu::Event;
 use counterlab_cpu::uarch::Processor;
-use counterlab_stats::descriptive::Summary;
-use counterlab_stats::stream::SummaryAccumulator;
 
 use crate::benchmark::Benchmark;
 use crate::config::{MeasurementConfig, OptLevel};
@@ -304,129 +302,11 @@ impl Grid {
         Ok(records)
     }
 
-    /// Streams the whole grid into **one accumulator per cell** instead of
-    /// materializing `cells × reps` records: the streaming engine's main
-    /// entry point.
-    ///
-    /// Each cell is one work item — its repetitions run in rep order on
-    /// one worker and fold into that cell's accumulator via `step` — so
-    /// the result is **bit-identical at any worker count** (unlike
-    /// worker-sharded folds, see [`exec::run_indexed_fold`]). Resident
-    /// memory is `O(cells × |A|)` regardless of the repetition count.
-    ///
-    /// Returns `(cell configuration, accumulator)` pairs in cell
-    /// enumeration order; the configuration carries `seed = 0` (the cell's
-    /// canonical identity — per-run seeds vary by repetition).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the lowest-cell-index measurement failure; within a
-    /// cell, the first failing repetition aborts that cell.
-    pub fn run_fold<A, I, S>(
-        &self,
-        opts: &RunOptions<'_>,
-        init: I,
-        step: S,
-    ) -> Result<Vec<(MeasurementConfig, A)>>
-    where
-        A: Send,
-        I: Fn(&MeasurementConfig) -> A + Sync,
-        S: Fn(&mut A, &Record) + Sync,
-    {
-        self.validate()?;
-        if self.fresh_boot {
-            return self.run_fold_with_measure(opts, init, step, run_measurement);
-        }
-        let cells: Vec<MeasurementConfig> = self.cells().collect();
-        let accs = exec::run_indexed(cells.len(), opts, |ci| {
-            // countlint: allow(panic-in-serving-path) -- ci < cells.len(): the engine dispenses cell indices below the count it was given
-            let cell = &cells[ci];
-            let mut acc = init(cell);
-            if self.reps > 0 {
-                let mut session = self.session_for(cell, 0)?;
-                for rep in 0..self.reps {
-                    let seed = per_run_seed(self.base_seed, cell, rep);
-                    let record = session.run(seed)?;
-                    step(&mut acc, &record);
-                }
-            }
-            Ok(acc)
-        })?;
-        Ok(cells.into_iter().zip(accs).collect())
-    }
-
-    /// [`Grid::run_fold`] with an injectable measurement function (the
-    /// same seam as [`Grid::run_with_measure`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`Grid::run_fold`].
-    pub fn run_fold_with_measure<A, I, S, F>(
-        &self,
-        opts: &RunOptions<'_>,
-        init: I,
-        step: S,
-        measure: F,
-    ) -> Result<Vec<(MeasurementConfig, A)>>
-    where
-        A: Send,
-        I: Fn(&MeasurementConfig) -> A + Sync,
-        S: Fn(&mut A, &Record) + Sync,
-        F: Fn(&MeasurementConfig, Benchmark) -> Result<Record> + Sync,
-    {
-        self.validate()?;
-        let cells: Vec<MeasurementConfig> = self.cells().collect();
-        let accs = exec::run_indexed(cells.len(), opts, |ci| {
-            // countlint: allow(panic-in-serving-path) -- ci < cells.len(): the engine dispenses cell indices below the count it was given
-            let cell = &cells[ci];
-            let mut acc = init(cell);
-            for rep in 0..self.reps {
-                let seed = per_run_seed(self.base_seed, cell, rep);
-                let cfg = MeasurementConfig { seed, ..*cell };
-                let record = measure(&cfg, self.benchmark)?;
-                step(&mut acc, &record);
-            }
-            Ok(acc)
-        })?;
-        Ok(cells.into_iter().zip(accs).collect())
-    }
-
-    /// Runs the grid and summarizes each cell's error distribution in one
-    /// pass: the streaming replacement for collecting records and calling
-    /// [`Summary::from_slice`](counterlab_stats::descriptive::Summary::from_slice)
-    /// per cell.
-    ///
-    /// # Errors
-    ///
-    /// Propagates measurement failures; [`crate::CoreError::NoData`] if
-    /// `reps == 0`.
-    pub fn run_summaries(&self, opts: &RunOptions<'_>) -> Result<Vec<CellSummary>> {
-        if self.reps == 0 {
-            return Err(crate::CoreError::NoData("grid with zero reps"));
-        }
-        let folded = self.run_fold(
-            opts,
-            |_| SummaryAccumulator::new(),
-            |acc, record| acc.push(record.error() as f64),
-        )?;
-        folded
-            .into_iter()
-            .map(|(config, acc)| {
-                Ok(CellSummary {
-                    summary: acc.finish().map_err(crate::CoreError::from)?,
-                    config,
-                    accumulator: acc,
-                })
-            })
-            .collect()
-    }
-
     /// Streams the grid's records straight into CSV lines, in the exact
     /// byte order of
     /// [`records_to_csv`](crate::report::records_to_csv)`(`[`Grid::run_with`]`)`,
-    /// holding only a bounded chunk of records in memory: `repro --stream
-    /// csv` stays byte-identical to the batch path at `O(1)` memory in the
-    /// record count.
+    /// holding only a bounded chunk of records in memory: `repro csv`
+    /// writes the full grid at `O(1)` memory in the record count.
     ///
     /// # Errors
     ///
@@ -498,20 +378,7 @@ impl Grid {
     }
 }
 
-/// One cell's streamed error summary: the per-cell output of
-/// [`Grid::run_summaries`].
-#[derive(Debug, Clone)]
-pub struct CellSummary {
-    /// The cell's canonical configuration (`seed = 0`).
-    pub config: MeasurementConfig,
-    /// The closed summary of the cell's `reps` error observations.
-    pub summary: Summary,
-    /// The still-mergeable accumulator behind the summary (pool cells by
-    /// merging these in cell order for deterministic group summaries).
-    pub accumulator: SummaryAccumulator,
-}
-
-/// Cells per batch of the streaming session CSV path: memory stays
+/// Cells per batch of the session CSV path: memory stays
 /// bounded at `CSV_CELL_BATCH × reps` lines while each batch still feeds
 /// every worker.
 const CSV_CELL_BATCH: usize = 256;
@@ -614,53 +481,6 @@ mod tests {
     }
 
     #[test]
-    fn run_summaries_match_batch_per_cell() {
-        let mut g = Grid::new(Benchmark::Null);
-        g.interfaces = vec![Interface::Pm, Interface::Pc];
-        g.patterns = vec![Pattern::StartRead, Pattern::ReadRead];
-        g.reps = 5;
-        g.hz = 0;
-        let records = g.run().unwrap();
-        for jobs in [1, 4] {
-            let cells = g.run_summaries(&RunOptions::with_jobs(jobs)).unwrap();
-            assert_eq!(cells.len(), g.cell_count());
-            for (ci, cell) in cells.iter().enumerate() {
-                let batch: Vec<f64> = records[ci * g.reps..(ci + 1) * g.reps]
-                    .iter()
-                    .map(|r| r.error() as f64)
-                    .collect();
-                let expected =
-                    counterlab_stats::descriptive::Summary::from_slice(&batch).unwrap();
-                assert_eq!(cell.summary.n(), g.reps);
-                assert_eq!(cell.summary.median(), expected.median(), "cell {ci}");
-                assert_eq!(cell.summary.min(), expected.min());
-                assert_eq!(cell.summary.max(), expected.max());
-            }
-        }
-    }
-
-    #[test]
-    fn run_fold_is_jobs_invariant() {
-        let mut g = Grid::new(Benchmark::Null);
-        g.interfaces = vec![Interface::Pm, Interface::PLpc];
-        g.patterns = Pattern::ALL.to_vec();
-        g.reps = 3;
-        let fold = |opts: &RunOptions<'_>| {
-            g.run_fold(opts, |_| Vec::new(), |acc: &mut Vec<i64>, r| acc.push(r.error()))
-                .unwrap()
-        };
-        let seq = fold(&RunOptions::sequential());
-        for jobs in [2, 4, 8] {
-            let par = fold(&RunOptions::with_jobs(jobs));
-            assert_eq!(seq.len(), par.len());
-            for ((ca, va), (cb, vb)) in seq.iter().zip(&par) {
-                assert_eq!(ca, cb);
-                assert_eq!(va, vb, "jobs = {jobs}");
-            }
-        }
-    }
-
-    #[test]
     fn run_csv_matches_batch_bytes() {
         let mut g = Grid::new(Benchmark::Null);
         g.interfaces = vec![Interface::Pm, Interface::Pc];
@@ -680,8 +500,8 @@ mod tests {
     #[test]
     fn session_and_fresh_boot_paths_bit_identical() {
         // The acceptance identity at the grid level: the session engine
-        // (default) and the fresh-boot oracle produce the same records,
-        // fold results and CSV bytes at jobs 1 and 4.
+        // (default) and the fresh-boot oracle produce the same records
+        // and CSV bytes at jobs 1 and 4.
         let mut g = Grid::new(Benchmark::Null);
         g.interfaces = vec![Interface::Pm, Interface::Pc, Interface::PHpc];
         g.patterns = Pattern::ALL.to_vec();
@@ -692,11 +512,6 @@ mod tests {
         for jobs in [1, 4] {
             let opts = RunOptions::with_jobs(jobs);
             assert_eq!(g.run_with(&opts).unwrap(), oracle.run_with(&opts).unwrap());
-            let fold =
-                |grid: &Grid| grid.run_fold(&opts, |_| Vec::new(), |a: &mut Vec<i64>, r| {
-                    a.push(r.error());
-                });
-            assert_eq!(fold(&g).unwrap(), fold(&oracle).unwrap(), "jobs {jobs}");
             let csv = |grid: &Grid| {
                 let mut s = String::new();
                 let n = grid.run_csv(&opts, |line| s.push_str(line)).unwrap();
@@ -704,16 +519,6 @@ mod tests {
             };
             assert_eq!(csv(&g), csv(&oracle), "jobs {jobs}");
         }
-    }
-
-    #[test]
-    fn run_summaries_zero_reps_is_no_data() {
-        let mut g = Grid::new(Benchmark::Null);
-        g.reps = 0;
-        assert!(matches!(
-            g.run_summaries(&RunOptions::sequential()),
-            Err(crate::CoreError::NoData(_))
-        ));
     }
 
     #[test]
@@ -746,7 +551,7 @@ mod tests {
         assert!(matches!(g.validate(), Err(crate::CoreError::ZeroCounters)));
         assert!(matches!(g.run(), Err(crate::CoreError::ZeroCounters)));
         assert!(matches!(
-            g.run_fold(&RunOptions::sequential(), |_| 0u64, |_, _| {}),
+            g.run_with_measure(&RunOptions::sequential(), run_measurement),
             Err(crate::CoreError::ZeroCounters)
         ));
         assert!(matches!(

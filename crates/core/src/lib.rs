@@ -96,7 +96,7 @@ pub mod prelude {
     pub use crate::benchmark::Benchmark;
     pub use crate::config::{MeasurementConfig, OptLevel};
     pub use crate::exec::RunOptions;
-    pub use crate::experiment::{EngineMode, Experiment, ExperimentCtx, Scale};
+    pub use crate::experiment::{Experiment, ExperimentCtx, Scale};
     pub use crate::grid::{Grid, RecordSet};
     pub use crate::interface::{AnyInterface, CountingMode, Interface};
     pub use crate::measure::{run_measurement, Record};

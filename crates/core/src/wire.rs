@@ -489,8 +489,6 @@ pub enum Request {
         id: String,
         /// Scale preset name (e.g. `"quick"`).
         scale: String,
-        /// Whether to request the streaming engine.
-        streaming: bool,
     },
 }
 
@@ -520,22 +518,14 @@ pub fn write_plain_request<W: Write>(w: &mut W, verb: &str) -> io::Result<()> {
     writeln!(w, "{MAGIC} {verb}")
 }
 
-/// Writes an experiment request.
+/// Writes an experiment request. The frame keeps its `mode=` field, which
+/// COUNTD/1 fixes; there is one engine, so it always says `batch`.
 ///
 /// # Errors
 ///
 /// Socket I/O errors.
-pub fn write_experiment_request<W: Write>(
-    w: &mut W,
-    id: &str,
-    scale: &str,
-    streaming: bool,
-) -> io::Result<()> {
-    writeln!(
-        w,
-        "{MAGIC} EXPERIMENT id={id} scale={scale} mode={}",
-        if streaming { "streaming" } else { "batch" }
-    )
+pub fn write_experiment_request<W: Write>(w: &mut W, id: &str, scale: &str) -> io::Result<()> {
+    writeln!(w, "{MAGIC} EXPERIMENT id={id} scale={scale} mode=batch")
 }
 
 /// Reads and parses one request (the server side of the handshake).
@@ -564,15 +554,18 @@ pub fn read_request<R: BufRead>(r: &mut R) -> Result<Request> {
         "STATS" => Ok(Request::Stats),
         "PING" => Ok(Request::Ping),
         "SHUTDOWN" => Ok(Request::Shutdown),
-        "EXPERIMENT" => Ok(Request::Experiment {
-            id: kv_get(args, "id")?,
-            scale: kv_get(args, "scale")?,
-            streaming: match kv_get(args, "mode")?.as_str() {
-                "streaming" => true,
-                "batch" => false,
+        "EXPERIMENT" => {
+            // `streaming` is the retired engine's name: still accepted,
+            // and served by the one engine like `batch`.
+            match kv_get(args, "mode")?.as_str() {
+                "streaming" | "batch" => {}
                 other => return Err(proto(format!("unknown engine mode {other:?}"))),
-            },
-        }),
+            }
+            Ok(Request::Experiment {
+                id: kv_get(args, "id")?,
+                scale: kv_get(args, "scale")?,
+            })
+        }
         _ => Err(proto(format!("unknown request verb {verb:?}"))),
     }
 }
@@ -1269,7 +1262,7 @@ mod tests {
         write_plain_request(&mut buf, "STATS").unwrap();
         write_plain_request(&mut buf, "PING").unwrap();
         write_plain_request(&mut buf, "SHUTDOWN").unwrap();
-        write_experiment_request(&mut buf, "table1", "quick", true).unwrap();
+        write_experiment_request(&mut buf, "table1", "quick").unwrap();
         let mut r = io::BufReader::new(&buf[..]);
         match read_request(&mut r).unwrap() {
             Request::Grid { grid, priority } => {
@@ -1282,13 +1275,37 @@ mod tests {
         assert!(matches!(read_request(&mut r).unwrap(), Request::Ping));
         assert!(matches!(read_request(&mut r).unwrap(), Request::Shutdown));
         match read_request(&mut r).unwrap() {
-            Request::Experiment { id, scale, streaming } => {
-                assert_eq!((id.as_str(), scale.as_str(), streaming), ("table1", "quick", true));
+            Request::Experiment { id, scale } => {
+                assert_eq!((id.as_str(), scale.as_str()), ("table1", "quick"));
             }
             other => panic!("{other:?}"),
         }
         // EOF is a protocol error, not a hang or a default.
         assert!(read_request(&mut r).is_err());
+    }
+
+    /// The frozen `mode=` field: the retired `streaming` value parses to
+    /// the same request as `batch`, and any other value stays a typed
+    /// protocol error.
+    #[test]
+    fn experiment_mode_streaming_parses_as_batch_and_bogus_is_rejected() {
+        let parse = |mode: &str| {
+            let frame = format!("{MAGIC} EXPERIMENT id=fig1 scale=quick mode={mode}\n");
+            read_request(&mut io::BufReader::new(frame.as_bytes()))
+        };
+        let fields = |request: Request| match request {
+            Request::Experiment { id, scale } => (id, scale),
+            other => panic!("{other:?}"),
+        };
+        let batch = fields(parse("batch").unwrap());
+        assert_eq!(fields(parse("streaming").unwrap()), batch);
+        assert_eq!(batch, ("fig1".to_string(), "quick".to_string()));
+        match parse("bogus") {
+            Err(CoreError::Protocol(msg)) => {
+                assert!(msg.starts_with("unknown engine mode"), "{msg}");
+            }
+            other => panic!("mode=bogus must be a protocol error: {other:?}"),
+        }
     }
 
     #[test]

@@ -181,10 +181,10 @@ impl std::fmt::Display for AnovaTable {
 /// ```
 /// Internally the builder is a **streaming accumulator**: it keeps only
 /// the grand moments (Welford) and per-factor level sums — constant
-/// memory in the observation count — so the experiment drivers can feed
-/// it record-by-record (or cell-by-cell via [`Anova::add_group`]) without
-/// materializing the response vector. Two partial accumulators over
-/// disjoint shards combine with [`Anova::merge`].
+/// memory in the observation count — so callers can feed it
+/// record-by-record without materializing the response vector. Two
+/// partial accumulators over disjoint shards combine with
+/// [`Anova::merge`].
 #[derive(Debug, Clone)]
 pub struct Anova {
     factors: Vec<Factor>,
@@ -256,33 +256,6 @@ impl Anova {
             let e = self.level_sums[fi].entry(l).or_insert((0.0, 0));
             e.0 += response;
             e.1 += 1;
-        }
-        Ok(())
-    }
-
-    /// Adds a whole **group** of observations sharing one level vector,
-    /// described by its streamed [`crate::stream::Welford`] moments. This
-    /// is how the streaming experiment drivers feed a grid cell's
-    /// repetitions in one call: statistically identical to `n` individual
-    /// [`Anova::add`]s, up to float-summation rounding. An empty group is
-    /// a no-op.
-    ///
-    /// # Errors
-    ///
-    /// As [`Anova::add`]; a poisoned group (one that saw a non-finite
-    /// observation) is rejected with [`StatsError::NonFinite`].
-    pub fn add_group(&mut self, levels: &[usize], group: &crate::stream::Welford) -> Result<()> {
-        self.check_levels(levels)?;
-        if group.is_empty() {
-            return Ok(());
-        }
-        let mean = group.mean()?; // propagates the NonFinite poison
-        let n = group.count();
-        self.grand.merge(*group);
-        for (fi, &l) in levels.iter().enumerate() {
-            let e = self.level_sums[fi].entry(l).or_insert((0.0, 0));
-            e.0 += mean * n as f64;
-            e.1 += n;
         }
         Ok(())
     }
@@ -504,51 +477,6 @@ mod tests {
         assert!(text.contains("infra"));
     }
 
-    /// Rebuilds `two_factor_data` through grouped pushes: per unique level
-    /// vector one Welford accumulator, added via `add_group`.
-    fn grouped_two_factor_data() -> Anova {
-        let mut anova = Anova::new(vec![
-            Factor::new("infra", ["pm", "pc", "papi"]),
-            Factor::new("opt", ["O0", "O1"]),
-        ]);
-        let mut groups: std::collections::BTreeMap<(usize, usize), crate::stream::Welford> =
-            std::collections::BTreeMap::new();
-        for rep in 0..10 {
-            let j = (rep as f64 - 4.5) * 0.2;
-            for (ii, base) in [(0usize, 0.0), (1, 100.0), (2, 200.0)] {
-                for oi in 0..2usize {
-                    groups.entry((ii, oi)).or_default().push(base + j);
-                }
-            }
-        }
-        for ((a, b), w) in groups {
-            anova.add_group(&[a, b], &w).unwrap();
-        }
-        anova
-    }
-
-    #[test]
-    fn add_group_matches_individual_adds() {
-        let individual = two_factor_data().run().unwrap();
-        let grouped = grouped_two_factor_data().run().unwrap();
-        assert_eq!(grouped.n(), individual.n());
-        for row in individual.rows() {
-            let g = grouped.row(&row.factor).unwrap();
-            assert_eq!(g.df, row.df);
-            assert!(
-                (g.sum_sq - row.sum_sq).abs() <= 1e-9 * row.sum_sq.max(1.0),
-                "{}: {} vs {}",
-                row.factor,
-                g.sum_sq,
-                row.sum_sq
-            );
-            assert!((g.f_value - row.f_value).abs() <= 1e-6 * row.f_value.max(1.0));
-        }
-        let rel = (grouped.total_sum_sq() - individual.total_sum_sq()).abs()
-            / individual.total_sum_sq();
-        assert!(rel <= 1e-9);
-    }
-
     #[test]
     fn merge_matches_single_accumulator() {
         // Shard the same observations across two accumulators.
@@ -586,22 +514,5 @@ mod tests {
         let mut a = Anova::new(vec![Factor::new("x", ["1", "2"])]);
         let b = Anova::new(vec![Factor::new("y", ["1", "2"])]);
         assert!(a.merge(b).is_err());
-    }
-
-    #[test]
-    fn add_group_rejects_poisoned_and_bad_levels() {
-        let mut anova = Anova::new(vec![Factor::new("x", ["1", "2"])]);
-        let mut poisoned = crate::stream::Welford::new();
-        poisoned.push(f64::NAN);
-        assert_eq!(
-            anova.add_group(&[0], &poisoned),
-            Err(StatsError::NonFinite)
-        );
-        let mut ok = crate::stream::Welford::new();
-        ok.push(1.0);
-        assert!(anova.add_group(&[5], &ok).is_err());
-        // Empty group is a no-op.
-        anova.add_group(&[0], &crate::stream::Welford::new()).unwrap();
-        assert!(anova.is_empty());
     }
 }

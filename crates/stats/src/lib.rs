@@ -41,7 +41,6 @@ pub mod bootstrap;
 pub mod boxplot;
 pub mod descriptive;
 pub mod dist;
-pub mod histogram;
 pub mod kde;
 pub mod quantile;
 pub mod regression;
@@ -60,13 +59,10 @@ pub mod prelude {
     pub use crate::boxplot::BoxPlot;
     pub use crate::descriptive::Summary;
     pub use crate::dist::{FDistribution, NormalDistribution};
-    pub use crate::histogram::Histogram;
     pub use crate::kde::Kde;
     pub use crate::quantile::{median, quantile};
     pub use crate::regression::LinearFit;
-    pub use crate::stream::{
-        Covariance, P2Quantile, StreamingHistogram, SummaryAccumulator, Welford,
-    };
+    pub use crate::stream::{P2Quantile, SummaryAccumulator, Welford};
     pub use crate::violin::Violin;
     pub use crate::StatsError;
 }

@@ -8,8 +8,7 @@
 //!
 //! * `push(f64)` — fold one observation in, O(1) amortized;
 //! * `merge(Self)` — combine two accumulators built over disjoint shards
-//!   of one sample (the parallel execution engine merges worker shards
-//!   lowest-worker-first);
+//!   of one sample;
 //! * `finish()` — produce the summary, with the **same error contract as
 //!   the batch routine it mirrors** (see each type's docs).
 //!
@@ -18,8 +17,6 @@
 //! | [`Welford`] | [`crate::descriptive::mean`] / [`crate::descriptive::variance`] / min / max | exact counts/extremes; mean and variance to ~1 ulp per merge |
 //! | [`P2Quantile`] | [`crate::quantile::quantile`] | exact up to its window, then P² (see caveat) |
 //! | [`SummaryAccumulator`] | [`crate::descriptive::Summary::from_slice`] | exact up to its window, then P² quartiles |
-//! | [`StreamingHistogram`] | [`crate::histogram::Histogram::from_slice`] | exact up to its window, then rebinned |
-//! | [`Covariance`] | [`crate::regression::LinearFit::fit`] | slope/intercept/R² to ~1 ulp per merge |
 //!
 //! # The P² accuracy caveat
 //!
@@ -60,28 +57,8 @@
 //! ```
 
 use crate::descriptive::Summary;
-use crate::histogram::Histogram;
 use crate::quantile::{quantile_sorted, QuantileMethod};
 use crate::{Result, StatsError};
-
-/// An accumulator that can absorb another built over a disjoint shard of
-/// the same sample — the operation the execution engine applies to worker
-/// shards (lowest-worker-first).
-pub trait Merge {
-    /// Absorbs `other` into `self`.
-    fn merge(&mut self, other: Self);
-}
-
-/// Merges two equal-length shard vectors element-by-element: the standard
-/// reduction for "one accumulator per group, one vector per worker"
-/// folds. Trailing elements of the longer side (there should be none when
-/// both vectors came from the same `new_shard`) are dropped.
-pub fn merge_zip<A: Merge>(mut a: Vec<A>, b: Vec<A>) -> Vec<A> {
-    for (x, y) in a.iter_mut().zip(b) {
-        x.merge(y);
-    }
-    a
-}
 
 /// Default exact-window size of a standalone [`P2Quantile`].
 pub const P2_DEFAULT_EXACT_WINDOW: usize = 64;
@@ -276,12 +253,6 @@ impl Welford {
             min: self.min,
             max: self.max,
         })
-    }
-}
-
-impl Merge for Welford {
-    fn merge(&mut self, other: Self) {
-        Welford::merge(self, other);
     }
 }
 
@@ -787,357 +758,6 @@ impl SummaryAccumulator {
     }
 }
 
-impl Merge for SummaryAccumulator {
-    fn merge(&mut self, other: Self) {
-        SummaryAccumulator::merge(self, other);
-    }
-}
-
-/// How a [`StreamingHistogram`] currently stores observations.
-#[derive(Debug, Clone, PartialEq)]
-enum HistState {
-    /// Exact values, range not yet fixed.
-    Exact(Vec<f64>),
-    /// Fixed-bin counts over `[lo, hi]`.
-    Binned { lo: f64, hi: f64, counts: Vec<u64> },
-}
-
-/// A histogram that needs no a-priori range: it buffers exactly until its
-/// window fills, fixes its range from the data seen, and thereafter grows
-/// by doubling its span (merging bin pairs) whenever a value falls
-/// outside. Bin boundaries therefore depend on arrival order — the sketch
-/// is for *rendering* distribution shapes, not for exact counts per
-/// interval (use [`Histogram`] when the range is known).
-#[derive(Debug, Clone, PartialEq)]
-pub struct StreamingHistogram {
-    bins: usize,
-    window: usize,
-    state: HistState,
-    /// ±∞ observations, kept out of the finite range (NaN is dropped, as
-    /// in [`Histogram::add`]).
-    below: u64,
-    above: u64,
-}
-
-impl StreamingHistogram {
-    /// A histogram with `bins` bins (window = `4 × bins` exact values).
-    ///
-    /// # Errors
-    ///
-    /// [`StatsError::InvalidParameter`] if `bins == 0`.
-    pub fn new(bins: usize) -> Result<Self> {
-        if bins == 0 {
-            return Err(StatsError::InvalidParameter("histogram requires bins >= 1"));
-        }
-        Ok(StreamingHistogram {
-            bins,
-            window: bins * 4,
-            state: HistState::Exact(Vec::new()),
-            below: 0,
-            above: 0,
-        })
-    }
-
-    /// Number of finite observations folded in.
-    pub fn count(&self) -> u64 {
-        match &self.state {
-            HistState::Exact(buf) => buf.len() as u64,
-            HistState::Binned { counts, .. } => counts.iter().sum(),
-        }
-    }
-
-    /// Folds one observation in: NaN is dropped, ±∞ is tallied separately,
-    /// finite values always land in a bin (the range grows to cover them).
-    pub fn push(&mut self, x: f64) {
-        if x.is_nan() {
-            return;
-        }
-        if x == f64::NEG_INFINITY {
-            self.below += 1;
-            return;
-        }
-        if x == f64::INFINITY {
-            self.above += 1;
-            return;
-        }
-        match &mut self.state {
-            HistState::Exact(buf) => {
-                buf.push(x);
-                if buf.len() > self.window {
-                    self.spill();
-                }
-            }
-            HistState::Binned { .. } => {
-                self.grow_to_cover(x);
-                if let HistState::Binned { lo, hi, counts } = &mut self.state {
-                    let bins = counts.len();
-                    let idx = (((x - *lo) / (*hi - *lo)) * bins as f64) as usize;
-                    counts[idx.min(bins - 1)] += 1;
-                }
-            }
-        }
-    }
-
-    /// Fixes the range from the exact window and bins its contents.
-    fn spill(&mut self) {
-        let HistState::Exact(buf) = &self.state else {
-            return;
-        };
-        let lo = buf.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = buf.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let (lo, hi) = if lo == hi { (lo - 0.5, hi + 0.5) } else { (lo, hi) };
-        let mut counts = vec![0u64; self.bins];
-        for &x in buf {
-            let idx = (((x - lo) / (hi - lo)) * self.bins as f64) as usize;
-            counts[idx.min(self.bins - 1)] += 1;
-        }
-        self.state = HistState::Binned { lo, hi, counts };
-    }
-
-    /// Doubles the span (merging adjacent bin pairs) until `x` is covered.
-    fn grow_to_cover(&mut self, x: f64) {
-        let HistState::Binned { lo, hi, counts } = &mut self.state else {
-            return;
-        };
-        while x < *lo || x > *hi {
-            let width = *hi - *lo;
-            let bins = counts.len();
-            let mut merged = vec![0u64; bins];
-            for (i, &c) in counts.iter().enumerate() {
-                merged[i / 2] += c;
-            }
-            if x < *lo {
-                // Extend downward: old counts occupy the upper half.
-                let half = bins / 2;
-                let mut shifted = vec![0u64; bins];
-                shifted[half..].copy_from_slice(&merged[..bins - half]);
-                *counts = shifted;
-                *lo -= width;
-            } else {
-                *counts = merged;
-                *hi += width;
-            }
-        }
-    }
-
-    /// Merges another histogram built over a disjoint shard. Bin counts
-    /// are remapped by bin midpoint when ranges differ — approximate, like
-    /// every post-binning operation.
-    pub fn merge(&mut self, other: Self) {
-        self.below += other.below;
-        self.above += other.above;
-        match other.state {
-            HistState::Exact(buf) => {
-                for x in buf {
-                    self.push(x);
-                }
-            }
-            HistState::Binned { lo, hi, counts } => {
-                // Ensure self is binned and covers the other's range.
-                if let HistState::Exact(_) = self.state {
-                    self.spill_or_init(lo, hi);
-                }
-                self.grow_to_cover(lo);
-                self.grow_to_cover(hi);
-                let bins = counts.len();
-                let width = (hi - lo) / bins as f64;
-                for (i, &c) in counts.iter().enumerate() {
-                    if c == 0 {
-                        continue;
-                    }
-                    let mid = lo + (i as f64 + 0.5) * width;
-                    if let HistState::Binned { lo, hi, counts } = &mut self.state {
-                        let b = counts.len();
-                        let idx = (((mid - *lo) / (*hi - *lo)) * b as f64) as usize;
-                        counts[idx.min(b - 1)] += c;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Forces the exact window into bins, seeding the range from the
-    /// window if it has data or from the given bounds otherwise.
-    fn spill_or_init(&mut self, lo: f64, hi: f64) {
-        if let HistState::Exact(buf) = &self.state {
-            if buf.is_empty() {
-                let (lo, hi) = if lo == hi { (lo - 0.5, hi + 0.5) } else { (lo, hi) };
-                self.state = HistState::Binned {
-                    lo,
-                    hi,
-                    counts: vec![0; self.bins],
-                };
-            } else {
-                self.spill();
-            }
-        }
-    }
-
-    /// Closes the sketch into a concrete [`Histogram`].
-    ///
-    /// # Errors
-    ///
-    /// [`StatsError::EmptyInput`] if no finite value was pushed.
-    pub fn finish(&self) -> Result<Histogram> {
-        match &self.state {
-            HistState::Exact(buf) => {
-                if buf.is_empty() {
-                    return Err(StatsError::EmptyInput);
-                }
-                Histogram::from_slice(buf, self.bins)
-            }
-            HistState::Binned { lo, hi, counts } => Ok(Histogram::from_parts(
-                *lo,
-                *hi,
-                counts.clone(),
-                self.below,
-                self.above,
-            )),
-        }
-    }
-}
-
-impl Merge for StreamingHistogram {
-    fn merge(&mut self, other: Self) {
-        StreamingHistogram::merge(self, other);
-    }
-}
-
-/// Streaming simple linear regression: the bivariate analogue of
-/// [`Welford`], accumulating co-moments so that
-/// [`Covariance::slope`] / [`Covariance::intercept`] /
-/// [`Covariance::r_squared`] reproduce [`crate::regression::LinearFit`]
-/// with the **same error contract**, one `(x, y)` pair at a time.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Covariance {
-    n: u64,
-    mean_x: f64,
-    mean_y: f64,
-    m2x: f64,
-    m2y: f64,
-    cxy: f64,
-    nonfinite: bool,
-}
-
-impl Covariance {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Folds one `(x, y)` observation in. A non-finite coordinate poisons
-    /// the accumulator (matching [`crate::regression::LinearFit::fit`]'s
-    /// whole-sample rejection).
-    pub fn push(&mut self, x: f64, y: f64) {
-        if !(x.is_finite() && y.is_finite()) {
-            self.nonfinite = true;
-            return;
-        }
-        self.n += 1;
-        let nf = self.n as f64;
-        let dx = x - self.mean_x;
-        let dy = y - self.mean_y;
-        self.mean_x += dx / nf;
-        self.mean_y += dy / nf;
-        // Co-moment update uses the *new* x mean (Welford's pattern).
-        self.cxy += dx * (y - self.mean_y);
-        self.m2x += dx * (x - self.mean_x);
-        self.m2y += dy * (y - self.mean_y);
-    }
-
-    /// Merges another accumulator built over a disjoint shard (Chan's
-    /// update, extended to the co-moment).
-    pub fn merge(&mut self, other: Self) {
-        self.nonfinite |= other.nonfinite;
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = Covariance {
-                nonfinite: self.nonfinite,
-                ..other
-            };
-            return;
-        }
-        let n = (self.n + other.n) as f64;
-        let w = self.n as f64 * other.n as f64 / n;
-        let dx = other.mean_x - self.mean_x;
-        let dy = other.mean_y - self.mean_y;
-        self.m2x += other.m2x + dx * dx * w;
-        self.m2y += other.m2y + dy * dy * w;
-        self.cxy += other.cxy + dx * dy * w;
-        self.mean_x += dx * other.n as f64 / n;
-        self.mean_y += dy * other.n as f64 / n;
-        self.n += other.n;
-    }
-
-    /// Number of finite pairs folded in.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    fn check(&self) -> Result<()> {
-        if self.nonfinite {
-            return Err(StatsError::NonFinite);
-        }
-        if self.n == 0 {
-            return Err(StatsError::EmptyInput);
-        }
-        if self.n < 2 {
-            return Err(StatsError::InvalidParameter(
-                "regression requires at least two points",
-            ));
-        }
-        if self.m2x == 0.0 {
-            return Err(StatsError::Degenerate("all x values are identical"));
-        }
-        Ok(())
-    }
-
-    /// OLS slope of `y` on `x`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`crate::regression::LinearFit::fit`]:
-    /// [`StatsError::EmptyInput`], [`StatsError::NonFinite`],
-    /// [`StatsError::InvalidParameter`] (fewer than two points),
-    /// [`StatsError::Degenerate`] (zero x-variance).
-    pub fn slope(&self) -> Result<f64> {
-        self.check()?;
-        Ok(self.cxy / self.m2x)
-    }
-
-    /// OLS intercept.
-    ///
-    /// # Errors
-    ///
-    /// As [`Covariance::slope`].
-    pub fn intercept(&self) -> Result<f64> {
-        let slope = self.slope()?;
-        Ok(self.mean_y - slope * self.mean_x)
-    }
-
-    /// Coefficient of determination R².
-    ///
-    /// # Errors
-    ///
-    /// As [`Covariance::slope`].
-    pub fn r_squared(&self) -> Result<f64> {
-        self.check()?;
-        if self.m2y == 0.0 {
-            return Ok(1.0);
-        }
-        let slope = self.cxy / self.m2x;
-        let ss_res = (self.m2y - slope * self.cxy).max(0.0);
-        Ok(1.0 - ss_res / self.m2y)
-    }
-}
-
-impl Merge for Covariance {
-    fn merge(&mut self, other: Self) {
-        Covariance::merge(self, other);
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -1388,113 +1008,5 @@ mod tests {
             assert_eq!(a.q3(), b.q3());
             assert_eq!((a.min(), a.max()), (b.min(), b.max()));
         }
-    }
-
-    #[test]
-    fn streaming_histogram_exact_window_matches_batch() {
-        let xs = sample(100);
-        let mut sh = StreamingHistogram::new(32).unwrap();
-        for &x in &xs {
-            sh.push(x);
-        }
-        let h = sh.finish().unwrap();
-        let b = Histogram::from_slice(&xs, 32).unwrap();
-        assert_eq!(h, b);
-    }
-
-    #[test]
-    fn streaming_histogram_grows_and_keeps_total() {
-        let mut sh = StreamingHistogram::new(8).unwrap();
-        for i in 0..1000 {
-            sh.push((i * i % 7919) as f64);
-        }
-        // Far outside the seeded range: must grow, not drop.
-        sh.push(1e6);
-        sh.push(-1e6);
-        let h = sh.finish().unwrap();
-        assert_eq!(h.total(), 1002);
-        assert_eq!(h.underflow() + h.overflow(), 0);
-    }
-
-    #[test]
-    fn streaming_histogram_nan_and_inf() {
-        let mut sh = StreamingHistogram::new(4).unwrap();
-        sh.push(f64::NAN);
-        sh.push(f64::INFINITY);
-        sh.push(1.0);
-        assert_eq!(sh.count(), 1);
-        for i in 0..100 {
-            sh.push(i as f64);
-        }
-        let h = sh.finish().unwrap();
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.total(), 101);
-    }
-
-    #[test]
-    fn streaming_histogram_merge_totals() {
-        let xs = sample(600);
-        let mut a = StreamingHistogram::new(16).unwrap();
-        let mut b = StreamingHistogram::new(16).unwrap();
-        for (i, &x) in xs.iter().enumerate() {
-            if i % 2 == 0 {
-                a.push(x);
-            } else {
-                b.push(x);
-            }
-        }
-        a.merge(b);
-        assert_eq!(a.count(), 600);
-        assert_eq!(a.finish().unwrap().total(), 600);
-    }
-
-    #[test]
-    fn covariance_matches_linear_fit() {
-        let xs: Vec<f64> = (0..500).map(|i| i as f64).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| 3.0 * x - 7.0 + (x % 13.0)).collect();
-        let fit = crate::regression::LinearFit::fit(&xs, &ys).unwrap();
-        let mut c = Covariance::new();
-        for (&x, &y) in xs.iter().zip(&ys) {
-            c.push(x, y);
-        }
-        assert!((c.slope().unwrap() - fit.slope()).abs() <= 1e-9 * fit.slope().abs());
-        assert!((c.intercept().unwrap() - fit.intercept()).abs() <= 1e-6);
-        assert!((c.r_squared().unwrap() - fit.r_squared()).abs() <= 1e-9);
-    }
-
-    #[test]
-    fn covariance_error_contract_mirrors_linear_fit() {
-        let c = Covariance::new();
-        assert_eq!(c.slope(), Err(StatsError::EmptyInput));
-        let mut c = Covariance::new();
-        c.push(1.0, 2.0);
-        assert!(matches!(c.slope(), Err(StatsError::InvalidParameter(_))));
-        c.push(1.0, 3.0);
-        assert!(matches!(c.slope(), Err(StatsError::Degenerate(_))));
-        let mut c = Covariance::new();
-        c.push(1.0, f64::NAN);
-        c.push(2.0, 3.0);
-        assert_eq!(c.slope(), Err(StatsError::NonFinite));
-    }
-
-    #[test]
-    fn covariance_merge_matches_single_stream() {
-        let xs: Vec<f64> = (0..401).map(|i| (i % 97) as f64).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| 0.5 * x + ((x * 31.0) % 11.0)).collect();
-        let mut whole = Covariance::new();
-        for (&x, &y) in xs.iter().zip(&ys) {
-            whole.push(x, y);
-        }
-        let mut parts = [Covariance::new(), Covariance::new(), Covariance::new()];
-        for (i, (&x, &y)) in xs.iter().zip(&ys).enumerate() {
-            parts[i % 3].push(x, y);
-        }
-        let mut merged = parts[0];
-        merged.merge(parts[1]);
-        merged.merge(parts[2]);
-        let (sa, sb) = (merged.slope().unwrap(), whole.slope().unwrap());
-        assert!((sa - sb).abs() <= 1e-9 * sb.abs().max(1.0));
-        let (ra, rb) = (merged.r_squared().unwrap(), whole.r_squared().unwrap());
-        assert!((ra - rb).abs() <= 1e-9);
     }
 }

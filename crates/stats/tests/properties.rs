@@ -109,15 +109,6 @@ proptest! {
     }
 
     #[test]
-    fn histogram_conserves_counts(xs in finite_vec(500), bins in 1usize..40) {
-        let h = Histogram::from_slice(&xs, bins).unwrap();
-        prop_assert_eq!(
-            h.total() + h.underflow() + h.overflow(),
-            xs.len() as u64
-        );
-    }
-
-    #[test]
     fn anova_sums_of_squares_nonnegative(
         responses in prop::collection::vec(0.0..1000.0f64, 8..64),
     ) {

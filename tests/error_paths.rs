@@ -1,19 +1,18 @@
 //! Error-path coverage for the execution engine's contract: the
 //! [`CoreError::CounterWentBackwards`] failure introduced at the measure
-//! layer must propagate unchanged through [`Grid::run_with`] *and* the
-//! streaming fold paths, and at any worker count the error that surfaces
-//! is the one with the **lowest index** (cell-enumeration × repetition
-//! order for the record engine, cell order for the fold engine) — never
-//! whichever worker happened to fail first on the wall clock.
+//! layer must propagate unchanged through [`Grid::run_with`], and at any
+//! worker count the error that surfaces is the one with the **lowest
+//! index** (cell-enumeration × repetition order) — never whichever
+//! worker happened to fail first on the wall clock.
 //!
-//! The injection goes through the grids' `*_with_measure` seams, so the
+//! The injection goes through the grid's `run_with_measure` seam, so the
 //! real plumbing — cell enumeration, per-run seeding, the engine's stop
 //! flag, drain, and min-index reduction — is what's under test; only the
 //! innermost measurement call is replaced.
 
 use counterlab::benchmark::Benchmark;
 use counterlab::config::MeasurementConfig;
-use counterlab::exec::{self, RunOptions};
+use counterlab::exec::RunOptions;
 use counterlab::grid::Grid;
 use counterlab::interface::{CountingMode, Interface};
 use counterlab::measure::run_measurement;
@@ -114,61 +113,20 @@ fn lowest_run_index_wins_in_run_with_measure() {
 }
 
 #[test]
-fn lowest_cell_wins_in_fold_path() {
-    let g = test_grid();
-    assert!(g.cell_count() > 10);
-    for jobs in [1, 2, 4, 8] {
-        let err = g
-            .run_fold_with_measure(
-                &RunOptions::with_jobs(jobs),
-                |_| 0u64,
-                |acc, _| *acc += 1,
-                |cfg, benchmark| {
-                    // Fail every read-read cell; the engine must report
-                    // the lowest *cell* index's error — the first rr cell
-                    // in enumeration order, which belongs to the first
-                    // interface (pm).
-                    if cfg.pattern == Pattern::ReadRead {
-                        return Err(CoreError::CounterWentBackwards {
-                            pattern: cfg.pattern.code(),
-                            first: cfg.interface as u64,
-                            second: 0,
-                        });
-                    }
-                    run_measurement(cfg, benchmark)
-                },
-            )
-            .unwrap_err();
-        match err {
-            CoreError::CounterWentBackwards { pattern, first, .. } => {
-                assert_eq!(pattern, "rr", "jobs = {jobs}");
-                assert_eq!(first, Interface::Pm as u64, "jobs = {jobs}");
-            }
-            other => panic!("jobs = {jobs}: unexpected error {other}"),
-        }
-    }
-}
-
-#[test]
-fn fold_aborts_cell_on_first_failing_rep() {
+fn cell_aborts_on_first_failing_rep() {
     // Within one cell, rep 2's failure must prevent reps 3 and 4 from
     // running (the cell is one work item; its loop stops at the error).
     let mut g = Grid::new(Benchmark::Null);
     g.reps = 5;
     let calls = AtomicUsize::new(0);
     let err = g
-        .run_fold_with_measure(
-            &RunOptions::sequential(),
-            |_| (),
-            |(), _| (),
-            |cfg, benchmark| {
-                let n = calls.fetch_add(1, Ordering::Relaxed);
-                if n == 2 {
-                    return Err(backwards_at(n));
-                }
-                run_measurement(cfg, benchmark)
-            },
-        )
+        .run_with_measure(&RunOptions::sequential(), |cfg, benchmark| {
+            let n = calls.fetch_add(1, Ordering::Relaxed);
+            if n == 2 {
+                return Err(backwards_at(n));
+            }
+            run_measurement(cfg, benchmark)
+        })
         .unwrap_err();
     assert!(matches!(err, CoreError::CounterWentBackwards { .. }));
     assert_eq!(
@@ -176,35 +134,6 @@ fn fold_aborts_cell_on_first_failing_rep() {
         3,
         "reps after the failure must not run"
     );
-}
-
-#[test]
-fn exec_fold_reports_lowest_index_backwards_error() {
-    // Pure-engine form of the same guarantee: scattered
-    // CounterWentBackwards failures at indices 31, 32 and 97 — index 31
-    // wins at every worker count.
-    for jobs in [1, 2, 4, 8] {
-        let err = exec::run_indexed_fold(
-            200,
-            &RunOptions::with_jobs(jobs),
-            || 0u64,
-            |i, acc| {
-                if i == 31 || i == 32 || i == 97 {
-                    return Err(backwards_at(i));
-                }
-                *acc += 1;
-                Ok(())
-            },
-            |a, b| a + b,
-        )
-        .unwrap_err();
-        match err {
-            CoreError::CounterWentBackwards { first, .. } => {
-                assert_eq!(first, 31, "jobs = {jobs}");
-            }
-            other => panic!("jobs = {jobs}: unexpected error {other}"),
-        }
-    }
 }
 
 #[test]

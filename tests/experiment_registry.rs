@@ -1,13 +1,12 @@
 //! Registry conformance: every experiment in
 //! [`counterlab::experiment::registry`] honors the API contract the CLI
-//! is built on — stable unique ids and artifact names, truthful
-//! streaming capability, ablations with unique owners — and actually
-//! runs at smoke scale through a memory sink in every engine mode it
-//! claims to support.
+//! is built on — stable unique ids and artifact names, ablations with
+//! unique owners — and actually runs at smoke scale through a memory
+//! sink, deterministically.
 
 use counterlab::exec::RunOptions;
 use counterlab::experiment::{
-    ablation_owner, registry, ArtifactKind, EngineMode, ExperimentCtx, MemorySink, Scale,
+    ablation_owner, registry, ArtifactKind, ExperimentCtx, MemorySink, Scale,
 };
 
 /// The documented command list, in `repro all` emission order. A new
@@ -35,10 +34,8 @@ const DOCUMENTED_IDS: [&str; 19] = [
     "csv",
 ];
 
-fn smoke_ctx(mode: EngineMode) -> ExperimentCtx<'static> {
-    ExperimentCtx::new(Scale::quick())
-        .with_opts(RunOptions::with_jobs(2))
-        .with_mode(mode)
+fn smoke_ctx() -> ExperimentCtx<'static> {
+    ExperimentCtx::new(Scale::quick()).with_opts(RunOptions::with_jobs(2))
 }
 
 #[test]
@@ -64,7 +61,7 @@ fn ids_and_titles_are_well_formed() {
 #[test]
 fn ablation_flags_have_unique_owners() {
     for exp in registry() {
-        for a in exp.capabilities().ablations {
+        for a in exp.ablations() {
             assert!(a.flag.starts_with("--"), "{}: {:?}", exp.id(), a.flag);
             assert!(!a.effect.is_empty(), "{}: {} lacks a description", exp.id(), a.flag);
             let owner = ablation_owner(a.flag).expect("flag resolves");
@@ -78,24 +75,23 @@ fn ablation_flags_have_unique_owners() {
     }
 }
 
-/// Every experiment runs at smoke scale through a [`MemorySink`] in both
-/// engine modes it claims to support; artifact names are unique across
-/// the whole registry and stable across runs; streaming-incapable
-/// experiments ignore a streaming request bit-for-bit.
+/// Every experiment runs at smoke scale through a [`MemorySink`];
+/// artifact names are unique across the whole registry and stable
+/// across runs.
 #[test]
 fn every_experiment_runs_at_smoke_scale_in_claimed_modes() {
     let mut seen_names: Vec<&'static str> = Vec::new();
     for exp in registry() {
         let id = exp.id();
 
-        let mut batch = MemorySink::new();
+        let mut first = MemorySink::new();
         let emitted = exp
-            .run(&smoke_ctx(EngineMode::Batch))
-            .unwrap_or_else(|e| panic!("{id} failed batch smoke run: {e}"))
-            .emit(&mut batch)
+            .run(&smoke_ctx())
+            .unwrap_or_else(|e| panic!("{id} failed smoke run: {e}"))
+            .emit(&mut first)
             .unwrap_or_else(|e| panic!("{id} failed to emit: {e}"));
         assert!(!emitted.is_empty(), "{id}: empty report");
-        for artifact in &batch.artifacts {
+        for artifact in &first.artifacts {
             assert!(
                 !seen_names.contains(&artifact.name),
                 "{id}: artifact {} also produced by another experiment",
@@ -111,35 +107,13 @@ fn every_experiment_runs_at_smoke_scale_in_claimed_modes() {
             }
         }
 
-        // A second batch run is byte-identical (fixed seeds).
+        // A second run is byte-identical (fixed seeds).
         let mut again = MemorySink::new();
-        exp.run(&smoke_ctx(EngineMode::Batch))
-            .unwrap()
-            .emit(&mut again)
-            .unwrap();
+        exp.run(&smoke_ctx()).unwrap().emit(&mut again).unwrap();
         assert_eq!(
-            again.artifacts, batch.artifacts,
-            "{id}: batch run not deterministic"
+            again.artifacts, first.artifacts,
+            "{id}: run not deterministic"
         );
-
-        // The streaming ctx: a real streaming run when claimed, a
-        // byte-identical batch run when not (the mode must be ignored,
-        // not half-applied).
-        let mut stream = MemorySink::new();
-        exp.run(&smoke_ctx(EngineMode::Streaming))
-            .unwrap_or_else(|e| panic!("{id} failed streaming smoke run: {e}"))
-            .emit(&mut stream)
-            .unwrap_or_else(|e| panic!("{id} failed to emit streaming: {e}"));
-        let names = |sink: &MemorySink| -> Vec<&'static str> {
-            sink.artifacts.iter().map(|a| a.name).collect()
-        };
-        assert_eq!(names(&stream), names(&batch), "{id}: artifact names differ by mode");
-        if !exp.capabilities().streaming {
-            assert_eq!(
-                stream.artifacts, batch.artifacts,
-                "{id}: claims batch-only but a streaming request changed its output"
-            );
-        }
     }
 }
 
@@ -149,14 +123,11 @@ fn every_experiment_runs_at_smoke_scale_in_claimed_modes() {
 #[test]
 fn declared_ablations_change_output() {
     for exp in registry() {
-        for a in exp.capabilities().ablations {
+        for a in exp.ablations() {
             let mut plain = MemorySink::new();
-            exp.run(&smoke_ctx(EngineMode::Batch))
-                .unwrap()
-                .emit(&mut plain)
-                .unwrap();
+            exp.run(&smoke_ctx()).unwrap().emit(&mut plain).unwrap();
             let mut ablated = MemorySink::new();
-            exp.run(&smoke_ctx(EngineMode::Batch).with_ablation(a.flag))
+            exp.run(&smoke_ctx().with_ablation(a.flag))
                 .unwrap()
                 .emit(&mut ablated)
                 .unwrap();

@@ -15,7 +15,7 @@
 
 use counterlab::benchmark::Benchmark;
 use counterlab::exec::RunOptions;
-use counterlab::experiment::{EngineMode, MemorySink, Sink};
+use counterlab::experiment::{MemorySink, Sink};
 use counterlab::experiments::csv;
 use counterlab::grid::Grid;
 use counterlab::interface::{CountingMode, Interface};
@@ -43,17 +43,17 @@ fn golden_grid() -> Grid {
 fn golden_csv_is_stable_across_jobs_and_stream() {
     let g = golden_grid();
 
-    // Batch engine at one and four workers.
+    // The materialized records at one and four workers.
     let jobs1 = report::records_to_csv(&g.run_with(&RunOptions::with_jobs(1)).unwrap());
     let jobs4 = report::records_to_csv(&g.run_with(&RunOptions::with_jobs(4)).unwrap());
 
-    // Streaming engine.
+    // The bounded-memory line writer the `csv` experiment uses.
     let mut streamed = String::new();
     g.run_csv(&RunOptions::with_jobs(4), |line| streamed.push_str(line))
         .unwrap();
 
     assert_eq!(jobs1, jobs4, "--jobs 4 diverged from --jobs 1");
-    assert_eq!(jobs1, streamed, "--stream diverged from --jobs 1");
+    assert_eq!(jobs1, streamed, "run_csv diverged from --jobs 1");
 
     if std::env::var_os("GOLDEN_REGEN").is_some() {
         std::fs::write(GOLDEN_PATH, &jobs1).expect("write golden file");
@@ -69,24 +69,22 @@ fn golden_csv_is_stable_across_jobs_and_stream() {
 
 /// The same pin through the experiment API: the CSV artifact produced by
 /// [`csv::csv_artifact`] and consumed by a [`Sink`] is byte-identical to
-/// the seed golden in both engine modes — so the registry path cannot
-/// silently diverge from the direct grid path it replaced.
+/// the seed golden — so the registry path cannot silently diverge from
+/// the direct grid path it replaced.
 #[test]
 fn golden_csv_is_stable_through_artifact_sinks() {
-    for mode in [EngineMode::Batch, EngineMode::Streaming] {
-        for jobs in [1usize, 4] {
-            let mut sink = MemorySink::new();
-            let rows = sink
-                .consume(csv::csv_artifact(golden_grid(), mode, jobs, false))
-                .unwrap()
-                .expect("row artifact reports its record count");
-            let stored = sink.get(csv::ARTIFACT).unwrap();
-            assert_eq!(
-                stored.content, GOLDEN,
-                "{mode:?}/jobs={jobs} diverged from {GOLDEN_PATH}"
-            );
-            assert_eq!(rows as usize, golden_grid().run_count(), "{mode:?}/jobs={jobs}");
-        }
+    for jobs in [1usize, 4] {
+        let mut sink = MemorySink::new();
+        let rows = sink
+            .consume(csv::csv_artifact(golden_grid(), jobs, false))
+            .unwrap()
+            .expect("row artifact reports its record count");
+        let stored = sink.get(csv::ARTIFACT).unwrap();
+        assert_eq!(
+            stored.content, GOLDEN,
+            "jobs={jobs} diverged from {GOLDEN_PATH}"
+        );
+        assert_eq!(rows as usize, golden_grid().run_count(), "jobs={jobs}");
     }
 }
 

@@ -1,7 +1,7 @@
 //! Golden-file regression for the `workload-accuracy` experiment: the
 //! raw-record CSV behind the workload-class figure is pinned
-//! byte-for-byte under `tests/golden/`, across both engine modes and
-//! worker counts — the acceptance bar for the zoo sweep is bit-identity,
+//! byte-for-byte under `tests/golden/`, across worker counts — the
+//! acceptance bar for the zoo sweep is bit-identity,
 //! not statistical agreement.
 //!
 //! Regenerate deliberately (after an *intentional* format/semantics
@@ -14,7 +14,7 @@
 //! and review the diff like any other source change.
 
 use counterlab::exec::RunOptions;
-use counterlab::experiment::{EngineMode, ExperimentCtx, MemorySink, Scale};
+use counterlab::experiment::{ExperimentCtx, MemorySink, Scale};
 use counterlab::experiments::workload::{self, WorkloadAccuracy};
 use counterlab::prelude::*;
 use counterlab::report;
@@ -24,10 +24,8 @@ const GOLDEN: &str = include_str!("golden/workload_accuracy.csv");
 
 /// Runs the registered experiment at quick scale and returns the CSV
 /// artifact's bytes.
-fn csv_at(mode: EngineMode, jobs: usize) -> String {
-    let ctx = ExperimentCtx::new(Scale::quick())
-        .with_opts(RunOptions::with_jobs(jobs))
-        .with_mode(mode);
+fn csv_at(jobs: usize) -> String {
+    let ctx = ExperimentCtx::new(Scale::quick()).with_opts(RunOptions::with_jobs(jobs));
     let mut sink = MemorySink::new();
     WorkloadAccuracy
         .run(&ctx)
@@ -42,22 +40,8 @@ fn csv_at(mode: EngineMode, jobs: usize) -> String {
 
 #[test]
 fn golden_workload_csv_pinned_across_engines_and_jobs() {
-    let baseline = csv_at(EngineMode::Batch, 1);
-    assert_eq!(
-        baseline,
-        csv_at(EngineMode::Batch, 4),
-        "--jobs 4 diverged from --jobs 1"
-    );
-    assert_eq!(
-        baseline,
-        csv_at(EngineMode::Streaming, 1),
-        "--stream diverged from batch"
-    );
-    assert_eq!(
-        baseline,
-        csv_at(EngineMode::Streaming, 4),
-        "--stream --jobs 4 diverged from batch --jobs 1"
-    );
+    let baseline = csv_at(1);
+    assert_eq!(baseline, csv_at(4), "--jobs 4 diverged from --jobs 1");
 
     if std::env::var_os("GOLDEN_REGEN").is_some() {
         std::fs::write(GOLDEN_PATH, &baseline).expect("write golden file");

@@ -216,3 +216,53 @@ fn out_of_range_hz_is_a_typed_error_over_the_wire() {
     serve::request_ping(&addr).expect("server healthy after the errors");
     drop(server);
 }
+
+/// Sends one raw `EXPERIMENT` frame with the given `mode=` value and
+/// reads the served artifacts (COUNTD/1 fixes the field; only the
+/// client helper's `mode=batch` is reachable through the API).
+fn raw_experiment(addr: &str, id: &str, mode: &str) -> counterlab::Result<Vec<wire::WireArtifact>> {
+    use std::io::{BufReader, Write};
+    let io = |e: std::io::Error| counterlab::CoreError::Serve(e.to_string());
+    let mut stream = std::net::TcpStream::connect(addr).map_err(io)?;
+    writeln!(
+        stream,
+        "{} EXPERIMENT id={id} scale=quick mode={mode}",
+        wire::MAGIC
+    )
+    .map_err(io)?;
+    let mut reader = BufReader::new(stream);
+    let head = wire::read_response_head(&mut reader)?;
+    assert_eq!(head.kind, "report");
+    wire::read_artifacts(&mut reader)
+}
+
+/// The retired engine name stays accepted on the frozen wire: a
+/// `mode=streaming` request is served by the one engine, byte-identical
+/// to `mode=batch` (and to the client helper), while any other mode is
+/// still a typed protocol error that leaves the server healthy.
+#[test]
+fn experiment_mode_streaming_serves_the_batch_bytes() {
+    let server = spawn(1, None);
+    let addr = server.addr().to_string();
+    for id in ["fig1", "workload-accuracy"] {
+        let batch = raw_experiment(&addr, id, "batch").expect("mode=batch");
+        assert!(!batch.is_empty(), "{id}: no artifacts");
+        let streaming = raw_experiment(&addr, id, "streaming").expect("mode=streaming");
+        assert_eq!(
+            streaming, batch,
+            "{id}: mode=streaming diverged from mode=batch"
+        );
+        let helper = serve::request_experiment(&addr, id, "quick").expect("client helper");
+        assert_eq!(
+            helper, batch,
+            "{id}: client helper diverged from mode=batch"
+        );
+    }
+    let err = raw_experiment(&addr, "fig1", "bogus").expect_err("mode=bogus must be rejected");
+    assert!(
+        matches!(&err, counterlab::CoreError::Protocol(msg) if msg.contains("unknown engine mode")),
+        "{err}"
+    );
+    serve::request_ping(&addr).expect("server healthy after the error");
+    drop(server);
+}

@@ -110,26 +110,6 @@ proptest! {
         }
     }
 
-    /// The per-cell fold (the streaming engine's backbone) sees the very
-    /// same record stream on both paths.
-    #[test]
-    fn grid_fold_bit_identical(grid in arb_grid()) {
-        let mut oracle = grid.clone();
-        oracle.fresh_boot = true;
-        let fold = |g: &Grid, jobs: usize| {
-            g.run_fold(
-                &RunOptions::with_jobs(jobs),
-                |_| Vec::new(),
-                |acc: &mut Vec<(u64, i64)>, r| acc.push((r.measured, r.error())),
-            )
-            .unwrap()
-        };
-        let expected = fold(&oracle, 1);
-        for jobs in [1usize, 4] {
-            prop_assert_eq!(fold(&grid, jobs), expected.clone(), "jobs = {}", jobs);
-        }
-    }
-
     /// The streamed CSV is byte-identical between the boot policies at
     /// every worker count.
     #[test]
