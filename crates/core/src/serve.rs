@@ -40,7 +40,7 @@
 //! so a retry is idempotent by construction. The whole plane is
 //! exercised by the seeded chaos suite via [`crate::fault::FaultPlan`].
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
@@ -96,13 +96,52 @@ struct MemEntry {
 
 #[derive(Default)]
 struct MemTier {
-    /// Keyed by cell key. A `BTreeMap` (not `HashMap`) on purpose:
-    /// iteration order is the key order, so eviction victim selection is
-    /// deterministic across processes — `HashMap`'s per-process
-    /// `RandomState` would make stamp ties break differently run to run.
+    /// Keyed by cell key. A `BTreeMap` (not `HashMap`) on purpose: what
+    /// walks it ([`CellCache::mem_keys`]) sees key order, the same in
+    /// every process, not `HashMap`'s per-process `RandomState` order.
     map: BTreeMap<u64, MemEntry>,
+    /// `(stamp, key)` in stamp order, one slot per stamping: the LRU
+    /// index eviction pops from the front. A slot whose stamp no longer
+    /// matches its entry's is stale and skipped (stamps are unique, as
+    /// the clock ticks on every stamping), so a hit costs a push instead
+    /// of a reorder.
+    order: VecDeque<(u64, u64)>,
     bytes: usize,
     clock: u64,
+}
+
+impl MemTier {
+    /// Indexes `key`'s new (and newest) stamp, pruning stale slots once
+    /// they outnumber the live ones.
+    fn stamped(&mut self, stamp: u64, key: u64) {
+        self.order.push_back((stamp, key));
+        if self.order.len() > 2 * self.map.len() + 16 {
+            let map = &self.map;
+            self.order
+                .retain(|(s, k)| map.get(k).is_some_and(|e| e.stamp == *s));
+        }
+    }
+
+    /// Removes the least recently used entry other than `keep`, which
+    /// holds the newest stamp; `None` once `keep` is all that is left.
+    fn evict_lru(&mut self, keep: u64) -> Option<MemEntry> {
+        while let Some(&(stamp, key)) = self.order.front() {
+            // `get_key_value`, not `get`: countlint's nested-lock rule
+            // matches calls by name, and `CellCache::get` takes the lock.
+            let live = self
+                .map
+                .get_key_value(&key)
+                .is_some_and(|(_, e)| e.stamp == stamp);
+            if live && key == keep {
+                return None;
+            }
+            self.order.pop_front();
+            if live {
+                return self.map.remove(&key);
+            }
+        }
+        None
+    }
 }
 
 /// The two-tier content-addressed cell cache. Thread-safe; one instance
@@ -173,9 +212,11 @@ impl CellCache {
             let clock = mem.clock;
             if let Some(entry) = mem.map.get_mut(&key) {
                 entry.stamp = clock;
+                let payload = Arc::clone(&entry.payload);
+                mem.stamped(clock, key);
                 // countlint: allow(undocumented-relaxed-atomic) -- independent stat counter; nothing is published under it
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return Some(Arc::clone(&entry.payload));
+                return Some(payload);
             }
         }
         if let Some(payload) = self.disk_read(key) {
@@ -205,27 +246,20 @@ impl CellCache {
         if let Some(old) = mem.map.insert(key, MemEntry { payload: Arc::clone(&payload), stamp }) {
             mem.bytes -= old.payload.len();
         }
+        mem.stamped(stamp, key);
         mem.bytes += payload.len();
         // Evict least-recently-used entries until back under both caps.
         // (But never the entry just inserted, even if it alone exceeds
         // the byte cap — a cache that refuses oversized results would
         // silently degrade to recompute-always for big cells.)
         //
-        // Victim choice is fully deterministic: smallest stamp wins, and
-        // `min_by_key` keeps the *first* minimum of the BTreeMap's
-        // key-ascending iteration, so stamp ties break toward the
-        // smallest key — identical eviction pressure always leaves an
-        // identical resident set.
+        // Victim choice is fully deterministic: stamps are unique, so the
+        // smallest live stamp names exactly one entry, and identical
+        // eviction pressure always leaves an identical resident set.
         while mem.map.len() > self.config.max_entries.max(1)
             || (mem.bytes > self.config.max_bytes && mem.map.len() > 1)
         {
-            let victim = mem
-                .map
-                .iter()
-                .filter(|(k, _)| **k != key)
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| *k);
-            let Some(evicted) = victim.and_then(|k| mem.map.remove(&k)) else {
+            let Some(evicted) = mem.evict_lru(key) else {
                 break;
             };
             mem.bytes -= evicted.payload.len();
@@ -1279,6 +1313,87 @@ mod tests {
         assert_eq!(first, second, "identical pressure, identical survivors");
         assert_eq!(first.len(), 4);
         assert!(first.contains(&90), "newest entry always survives");
+    }
+
+    #[test]
+    fn cache_eviction_matches_full_scan_rule() {
+        use counterlab_cpu::hash::splitmix64;
+        // The victim rule before the stamp-ordered index, as the
+        // reference: scan every entry for the smallest stamp, skipping
+        // the key just inserted.
+        #[derive(Default)]
+        struct ScanModel {
+            map: BTreeMap<u64, (u64, usize)>,
+            bytes: usize,
+            clock: u64,
+            evictions: usize,
+        }
+        impl ScanModel {
+            fn get(&mut self, key: u64) {
+                self.clock += 1;
+                if let Some(entry) = self.map.get_mut(&key) {
+                    entry.0 = self.clock;
+                }
+            }
+            fn put(&mut self, key: u64, len: usize, max_entries: usize, max_bytes: usize) {
+                self.clock += 1;
+                if let Some((_, old)) = self.map.insert(key, (self.clock, len)) {
+                    self.bytes -= old;
+                }
+                self.bytes += len;
+                while self.map.len() > max_entries.max(1)
+                    || (self.bytes > max_bytes && self.map.len() > 1)
+                {
+                    let victim = self
+                        .map
+                        .iter()
+                        .filter(|(k, _)| **k != key)
+                        .min_by_key(|(_, e)| e.0)
+                        .map(|(k, _)| *k);
+                    let Some((_, len)) = victim.and_then(|k| self.map.remove(&k)) else {
+                        break;
+                    };
+                    self.bytes -= len;
+                    self.evictions += 1;
+                }
+            }
+        }
+        // (entry cap, byte cap): entry-bound, byte-bound, a single slot.
+        for (max_entries, max_bytes) in [(8, usize::MAX), (64, 120), (1, usize::MAX)] {
+            for seed in 1..=4u64 {
+                let cache = CellCache::new(CacheConfig {
+                    max_entries,
+                    max_bytes,
+                    dir: None,
+                })
+                .unwrap();
+                let mut model = ScanModel::default();
+                for step in 0..3000u64 {
+                    let r = splitmix64(seed ^ splitmix64(step));
+                    let key = r % 24;
+                    if (r >> 8).is_multiple_of(3) {
+                        let len = 1 + ((r >> 16) % 40) as usize;
+                        cache.put(key, Arc::new("x".repeat(len)));
+                        model.put(key, len, max_entries, max_bytes);
+                    } else {
+                        cache.get(key);
+                        model.get(key);
+                    }
+                    let want: Vec<u64> = model.map.keys().copied().collect();
+                    assert_eq!(
+                        cache.mem_keys(),
+                        want,
+                        "caps ({max_entries}, {max_bytes}), seed {seed}, step {step}"
+                    );
+                    assert_eq!(cache.mem_bytes(), model.bytes);
+                }
+                assert!(
+                    model.evictions > 100,
+                    "stream must evict: {}",
+                    model.evictions
+                );
+            }
+        }
     }
 
     #[test]

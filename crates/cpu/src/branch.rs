@@ -5,7 +5,16 @@
 //! models the placement-sensitive part of branch prediction: a set-indexed
 //! BTB in which branches at conflicting addresses evict each other.
 
+use crate::lru_sets::LruSets;
+
 /// A set-associative branch target buffer indexed by branch address.
+///
+/// The entries live in one flat `sets × ways` array with a per-set
+/// occupancy count, each set's valid branches ordered least to most
+/// recently used. The array is allocated on the first
+/// [`BranchTargetBuffer::lookup_insert`], not in
+/// [`BranchTargetBuffer::new`]: booting a machine that never runs a loop
+/// costs no BTB storage.
 ///
 /// # Examples
 ///
@@ -18,75 +27,51 @@
 /// ```
 #[derive(Debug, Clone)]
 pub struct BranchTargetBuffer {
-    sets: Vec<Vec<u64>>,
-    ways: usize,
-    /// Indices of sets holding at least one entry, so
-    /// [`BranchTargetBuffer::reset`] clears only what was touched.
-    touched: Vec<usize>,
+    sets: LruSets,
 }
 
 impl BranchTargetBuffer {
     /// Creates a BTB with `sets` sets of `ways` entries (LRU within a set).
+    /// Allocates nothing until the first lookup.
     ///
     /// # Panics
     ///
-    /// Panics unless `sets` is a power of two and `ways >= 1`.
+    /// Panics unless `sets` is a power of two and `1 <= ways <= 255`.
     pub fn new(sets: usize, ways: usize) -> Self {
         assert!(sets.is_power_of_two(), "BTB sets must be a power of two");
-        assert!(ways >= 1, "BTB needs at least one way");
         BranchTargetBuffer {
-            sets: vec![Vec::with_capacity(ways); sets],
-            ways,
-            touched: Vec::new(),
+            sets: LruSets::new(sets, ways),
         }
     }
 
     /// Empties every set, returning the BTB to its cold post-boot state
     /// while keeping all allocations (the reuse path of measurement
-    /// sessions).
+    /// sessions). Clears only the sets a run touched.
     pub fn reset(&mut self) {
-        for &idx in &self.touched {
-            self.sets[idx].clear();
-        }
-        self.touched.clear();
+        self.sets.reset();
     }
 
     /// Number of sets.
     pub fn set_count(&self) -> usize {
-        self.sets.len()
+        self.sets.set_count()
     }
 
     /// Associativity.
     pub fn ways(&self) -> usize {
-        self.ways
+        self.sets.ways()
     }
 
     /// The set index a branch at `addr` maps to. Real BTBs index by the
     /// low-order branch address bits above the 4-byte position bits.
     pub fn set_index(&self, addr: u64) -> usize {
-        ((addr >> 2) as usize) & (self.sets.len() - 1)
+        ((addr >> 2) as usize) & (self.sets.set_count() - 1)
     }
 
     /// Looks up the branch at `addr`; returns whether it was present
     /// (predicted), and inserts/refreshes it (LRU).
     pub fn lookup_insert(&mut self, addr: u64) -> bool {
         let idx = self.set_index(addr);
-        let set = &mut self.sets[idx];
-        if let Some(pos) = set.iter().position(|&a| a == addr) {
-            // Move to MRU position.
-            let a = set.remove(pos);
-            set.push(a);
-            true
-        } else {
-            if set.is_empty() {
-                self.touched.push(idx);
-            }
-            if set.len() == self.ways {
-                set.remove(0); // evict LRU
-            }
-            set.push(addr);
-            false
-        }
+        self.sets.access(idx, addr)
     }
 
     /// Whether two branch addresses contend for the same set.
@@ -113,6 +98,49 @@ impl BranchTargetBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lru_sets::reference::{clustered_stream, Op, VecSets};
+
+    #[test]
+    fn flat_btb_matches_vec_reference() {
+        // (sets, ways): Core 2, K8 and Pentium D as shipped, then one set,
+        // one way, and one of each.
+        let geometries = [(512, 4), (512, 1), (128, 1), (1, 4), (16, 1), (1, 1)];
+        for (sets, ways) in geometries {
+            for seed in 1..=3 {
+                let mut flat = BranchTargetBuffer::new(sets, ways);
+                let mut model = VecSets::new(sets, ways);
+                let (mut hits, mut misses) = (0, 0);
+                for (step, op) in clustered_stream(seed, 2000, sets, ways, 4, 1)
+                    .into_iter()
+                    .enumerate()
+                {
+                    match op {
+                        Op::Reset => {
+                            flat.reset();
+                            model.reset();
+                        }
+                        Op::Access(addr) => {
+                            let want = model.access(((addr >> 2) as usize) & (sets - 1), addr);
+                            assert_eq!(
+                                flat.lookup_insert(addr),
+                                want,
+                                "{sets}x{ways}, seed {seed}, step {step}, addr {addr:#x}"
+                            );
+                            if want {
+                                hits += 1;
+                            } else {
+                                misses += 1;
+                            }
+                        }
+                    }
+                }
+                assert!(
+                    hits > 200 && misses > 200,
+                    "stream must both hit and miss: {hits}/{misses}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn second_lookup_hits() {

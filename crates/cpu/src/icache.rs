@@ -4,7 +4,15 @@
 //! micro-architectural structures that §6 of the paper holds responsible
 //! for cycle-count perturbation.
 
+use crate::lru_sets::LruSets;
+
 /// A set-associative instruction cache with LRU replacement.
+///
+/// The lines live in one flat `sets × ways` tag array with a per-set
+/// occupancy count, each set's valid lines ordered least to most recently
+/// used. The array is allocated on the first [`ICache::access`], not in
+/// [`ICache::new`]: booting a machine that never fetches a loop costs no
+/// front-end storage.
 ///
 /// # Examples
 ///
@@ -19,22 +27,17 @@
 #[derive(Debug, Clone)]
 pub struct ICache {
     line_bytes: u64,
-    sets: Vec<Vec<u64>>,
-    ways: usize,
-    /// Indices of sets that currently hold at least one line, so
-    /// [`ICache::reset`] clears only what a run actually touched instead
-    /// of walking every set of a large cache.
-    touched: Vec<usize>,
+    sets: LruSets,
 }
 
 impl ICache {
     /// Creates a cache of `size_bytes` with `line_bytes` lines and `ways`
-    /// associativity.
+    /// associativity. Allocates nothing until the first access.
     ///
     /// # Panics
     ///
-    /// Panics unless the geometry divides evenly and the set count is a
-    /// power of two.
+    /// Panics unless the geometry divides evenly, the set count is a
+    /// power of two and `1 <= ways <= 255`.
     pub fn new(size_bytes: u64, line_bytes: u64, ways: usize) -> Self {
         assert!(
             line_bytes.is_power_of_two(),
@@ -48,21 +51,16 @@ impl ICache {
         );
         ICache {
             line_bytes,
-            sets: vec![Vec::with_capacity(ways); sets],
-            ways,
-            touched: Vec::new(),
+            sets: LruSets::new(sets, ways),
         }
     }
 
     /// Empties every set, returning the cache to its cold post-boot state
     /// while keeping all allocations (the reuse path of measurement
-    /// sessions). Equivalent to, but much cheaper than, rebuilding with
-    /// [`ICache::new`].
+    /// sessions). Clears only the sets a run touched, so it is equivalent
+    /// to, but much cheaper than, rebuilding with [`ICache::new`].
     pub fn reset(&mut self) {
-        for &idx in &self.touched {
-            self.sets[idx].clear();
-        }
-        self.touched.clear();
+        self.sets.reset();
     }
 
     /// Cache line size in bytes.
@@ -72,29 +70,15 @@ impl ICache {
 
     /// Number of sets.
     pub fn set_count(&self) -> usize {
-        self.sets.len()
+        self.sets.set_count()
     }
 
     /// Accesses the byte at `addr`; returns `true` on hit. Misses fill the
     /// line (LRU within the set).
     pub fn access(&mut self, addr: u64) -> bool {
         let line = addr / self.line_bytes;
-        let idx = (line as usize) & (self.sets.len() - 1);
-        let set = &mut self.sets[idx];
-        if let Some(pos) = set.iter().position(|&l| l == line) {
-            let l = set.remove(pos);
-            set.push(l);
-            true
-        } else {
-            if set.is_empty() {
-                self.touched.push(idx);
-            }
-            if set.len() == self.ways {
-                set.remove(0);
-            }
-            set.push(line);
-            false
-        }
+        let idx = (line as usize) & (self.sets.set_count() - 1);
+        self.sets.access(idx, line)
     }
 
     /// Accesses a code block of `bytes` starting at `addr`; returns the
@@ -145,7 +129,7 @@ impl ITlb {
         );
         ITlb {
             page_bytes,
-            entries: Vec::with_capacity(capacity),
+            entries: Vec::new(),
             capacity,
         }
     }
@@ -187,6 +171,58 @@ impl ITlb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lru_sets::reference::{clustered_stream, Op, VecSets};
+
+    #[test]
+    fn flat_icache_matches_vec_reference() {
+        // (size bytes, ways) of 64-byte-line caches: Core 2, K8 and
+        // Pentium D as shipped, then one set, one way, and one of each.
+        let geometries = [
+            (32 * 1024, 8),
+            (64 * 1024, 2),
+            (16 * 1024, 4),
+            (4 * 64, 4),
+            (8 * 64, 1),
+            (64, 1),
+        ];
+        for (size, ways) in geometries {
+            for seed in 1..=3 {
+                let mut flat = ICache::new(size, 64, ways);
+                let sets = flat.set_count();
+                let mut model = VecSets::new(sets, ways);
+                let (mut hits, mut misses) = (0, 0);
+                for (step, op) in clustered_stream(seed, 2000, sets, ways, 64, 64)
+                    .into_iter()
+                    .enumerate()
+                {
+                    match op {
+                        Op::Reset => {
+                            flat.reset();
+                            model.reset();
+                        }
+                        Op::Access(addr) => {
+                            let line = addr / 64;
+                            let want = model.access(line as usize & (sets - 1), line);
+                            assert_eq!(
+                                flat.access(addr),
+                                want,
+                                "{size}B/{ways}-way, seed {seed}, step {step}, addr {addr:#x}"
+                            );
+                            if want {
+                                hits += 1;
+                            } else {
+                                misses += 1;
+                            }
+                        }
+                    }
+                }
+                assert!(
+                    hits > 200 && misses > 200,
+                    "stream must both hit and miss: {hits}/{misses}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn same_line_one_miss() {

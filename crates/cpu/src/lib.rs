@@ -57,6 +57,7 @@ pub mod timing;
 pub mod uarch;
 
 mod error;
+mod lru_sets;
 
 pub use error::CpuError;
 
